@@ -205,8 +205,11 @@ int main(int argc, char** argv) {
   const std::string dir = args.get("testcases", "");
   const std::vector<std::string> circuits = split_names(args.get("circuits", ""));
   const bool self = args.get_bool("selfcheck");
-  const std::size_t patterns =
-      static_cast<std::size_t>(args.get_int("patterns", 8));
+  const std::size_t patterns = args.get_uint("patterns", 8);
+  if (!args.ok()) {
+    std::fprintf(stderr, "%s\n", args.error().c_str());
+    return usage(argv[0]);
+  }
   std::vector<std::size_t> thread_counts;
   for (std::string_view t : split(args.get("threads", "1,8"), ',')) {
     std::uint64_t n = 0;

@@ -1,15 +1,8 @@
 #include "faultsim/remote.hpp"
 
 #include <poll.h>
-#include <signal.h>
 
-#include <atomic>
-#include <cerrno>
-#include <chrono>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
-#include <thread>
+#include <algorithm>
 
 #include "faultsim/checkpoint.hpp"
 #include "faultsim/shard.hpp"
@@ -22,8 +15,6 @@ namespace sp = subprocess;
 
 namespace {
 
-constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
-
 /// Cancel-aware sleep in small poll slices (no signals: library code).
 void sleep_ms(std::uint64_t ms, const CancelToken* cancel) {
   const std::uint64_t deadline = sp::steady_now_ms() + ms;
@@ -34,25 +25,6 @@ void sleep_ms(std::uint64_t ms, const CancelToken* cancel) {
     ::poll(&none, 0, static_cast<int>(std::min<std::uint64_t>(left, 50)));
   }
 }
-
-int poll_readable(int fd, int timeout_ms) {
-  struct pollfd p = {fd, POLLIN, 0};
-  while (true) {
-    const int r = ::poll(&p, 1, timeout_ms);
-    if (r >= 0) return r;
-    if (errno == EINTR) return 0;  // let the caller re-check stop conditions
-    return -1;
-  }
-}
-
-/// What one connection's serve loop ended with.
-enum class ConnEnd : std::uint8_t {
-  Shutdown,     ///< coordinator said Shutdown: clean exit
-  Lost,         ///< link died (EOF/EPIPE/corruption): reconnect, keep replay
-  ChaosKilled,  ///< emulated SIGKILL: reconnect with amnesia
-  Cancelled,    ///< local cancel tripped
-  Rejected,     ///< coordinator sent Reject: terminal
-};
 
 }  // namespace
 
@@ -71,6 +43,13 @@ int serve_remote_worker(const Circuit& c, MotOptions options, bool run_baseline,
   opt.num_threads = 1;
   opt.campaign_time_ms = 0;
   const MotBatchRunner runner(c, opt, run_baseline);
+  const shard::WorkerLane lane{runner, test, good, faults, run_baseline};
+  shard::ServeOptions serve;
+  serve.chaos_kill_permille = opts.chaos_kill_permille;
+  serve.chaos_kill_seed = opts.chaos_kill_seed;
+  serve.chaos_abort_fault = opts.chaos_abort_fault;
+  serve.die_hard = opts.chaos_die_hard;
+  serve.cancel = cancel;
   const JournalMeta meta =
       make_journal_meta(c.name(), faults.size(), test, opt, run_baseline);
   const std::string hello = shard::encode_hello(meta);
@@ -155,7 +134,12 @@ int serve_remote_worker(const Circuit& c, MotOptions options, bool run_baseline,
             sp::steady_now_ms() >= deadline) {
           break;
         }
-        if (poll_readable(chan.poll_fd(), 100) < 0) break;
+        // A timeout only re-checks the deadline and the cancel token. A read
+        // now would block until the coordinator answers, and a connection
+        // still waiting in its accept queue is never answered.
+        const int ready = sp::poll_readable(chan.poll_fd(), 100);
+        if (ready < 0) break;
+        if (ready == 0) continue;
         int err = 0;
         const auto fs = reader.feed(err);
         if (fs == sp::FrameReader::FeedStatus::Eof ||
@@ -178,186 +162,41 @@ int serve_remote_worker(const Circuit& c, MotOptions options, bool run_baseline,
     consecutive_failures = 0;
     ++report->connections;
 
-    // ---- admitted: heartbeats, replay, then serve --------------------
-    std::mutex write_mu;
-    auto send = [&](shard::MsgType type, std::string_view payload) {
-      std::lock_guard<std::mutex> lk(write_mu);
-      return sp::write_frame(chan, static_cast<std::uint8_t>(type), payload);
-    };
-
-    std::atomic<bool> stop{false};
-    std::mutex hb_mu;
-    std::condition_variable hb_cv;
-    std::thread heartbeat;
-    if (welcome.heartbeat_period_ms > 0) {
-      heartbeat = std::thread([&] {
-        const auto period =
-            std::chrono::milliseconds(welcome.heartbeat_period_ms);
-        std::unique_lock<std::mutex> lk(hb_mu);
-        auto next = std::chrono::steady_clock::now() + period;
-        while (!hb_cv.wait_until(lk, next, [&] {
-          return stop.load(std::memory_order_relaxed);
-        })) {
-          if (send(shard::MsgType::Heartbeat, "") != 0) break;
-          next = std::chrono::steady_clock::now() + period;
-        }
-      });
-    }
-    auto stop_heartbeat = [&] {
-      {
-        std::lock_guard<std::mutex> lk(hb_mu);
-        stop.store(true, std::memory_order_relaxed);
-      }
-      hb_cv.notify_all();
-      if (heartbeat.joinable()) heartbeat.join();
-    };
-
-    ConnEnd end = ConnEnd::Lost;
-
+    // ---- admitted: replay, then serve ----------------------------------
     // Replay first: anything this process already computed but the
     // coordinator may not have seen (the link died mid-stream). Duplicates
     // are dropped by the coordinator's idempotent commit.
+    shard::ServeEnd end = shard::ServeEnd::Lost;
     bool replay_ok = true;
     for (const std::string& record : replay) {
-      if (send(shard::MsgType::FaultResult, record) != 0) {
+      if (sp::write_frame(
+              chan, static_cast<std::uint8_t>(shard::MsgType::FaultResult),
+              record) != 0) {
         replay_ok = false;
         break;
       }
       ++report->replayed_records;
     }
-
     if (replay_ok) {
-      // Blocks until a frame arrives; false = link gone.
-      auto next_frame = [&](std::uint8_t& type, std::string& payload) {
-        while (true) {
-          if (reader.next(type, payload)) return true;
-          if (reader.corrupt() || cancelled()) return false;
-          if (poll_readable(chan.poll_fd(), 200) < 0) return false;
-          int err = 0;
-          const auto fs = reader.feed(err);
-          if (fs == sp::FrameReader::FeedStatus::Eof ||
-              fs == sp::FrameReader::FeedStatus::Error) {
-            return false;
-          }
-        }
-      };
-      // Between-faults peek: a buffered Shutdown and a dead link are
-      // different verdicts — Shutdown ends the campaign cleanly, a dead
-      // link must put us back on the reconnect path with the replay log
-      // intact (mistaking EOF for Shutdown strands the coordinator's
-      // rejoin window, which matters most when this is the only worker).
-      enum class Peek : std::uint8_t { None, Shutdown, Lost };
-      auto peek_control = [&]() -> Peek {
-        while (true) {
-          std::uint8_t type = 0;
-          std::string payload;
-          if (reader.next(type, payload)) {
-            if (static_cast<shard::MsgType>(type) ==
-                shard::MsgType::Shutdown) {
-              return Peek::Shutdown;
-            }
-            continue;
-          }
-          if (reader.corrupt()) return Peek::Lost;
-          if (poll_readable(chan.poll_fd(), 0) <= 0) return Peek::None;
-          int err = 0;
-          const auto fs = reader.feed(err);
-          if (fs == sp::FrameReader::FeedStatus::Eof ||
-              fs == sp::FrameReader::FeedStatus::Error) {
-            return Peek::Lost;
-          }
-          if (fs == sp::FrameReader::FeedStatus::WouldBlock) {
-            return Peek::None;
-          }
-        }
-      };
-
-      bool serving = true;
-      std::vector<std::size_t> group;
-      while (serving) {
-        std::uint8_t type = 0;
-        std::string payload;
-        if (!next_frame(type, payload)) {
-          end = cancelled() ? ConnEnd::Cancelled : ConnEnd::Lost;
-          break;
-        }
-        switch (static_cast<shard::MsgType>(type)) {
-          case shard::MsgType::Shutdown:
-            end = ConnEnd::Shutdown;
-            serving = false;
-            break;
-          case shard::MsgType::Assign: {
-            if (!shard::decode_assign(payload, group)) {
-              end = ConnEnd::Lost;  // protocol violation: die visibly
-              serving = false;
-              break;
-            }
-            for (const std::size_t k : group) {
-              if (cancelled()) {
-                end = ConnEnd::Cancelled;
-                serving = false;
-                break;
-              }
-              const Peek peeked = peek_control();
-              if (peeked != Peek::None) {
-                end = peeked == Peek::Shutdown ? ConnEnd::Shutdown
-                                               : ConnEnd::Lost;
-                serving = false;
-                break;
-              }
-              if (send(shard::MsgType::FaultStart,
-                       shard::encode_fault_start(k)) != 0) {
-                end = ConnEnd::Lost;
-                serving = false;
-                break;
-              }
-              // Chaos: die exactly where a crashing engine would — fault
-              // announced, result not yet produced.
-              if (k == opts.chaos_abort_fault ||
-                  shard::chaos_should_kill(opts.chaos_kill_seed, k,
-                                           welcome.incarnation,
-                                           opts.chaos_kill_permille)) {
-                if (opts.chaos_die_hard) ::raise(SIGKILL);
-                end = ConnEnd::ChaosKilled;
-                serving = false;
-                break;
-              }
-              const std::size_t one[] = {k};
-              const std::vector<MotBatchItem> out =
-                  runner.run(test, good, faults, one);
-              ++report->faults_simulated;
-              const std::string record =
-                  encode_journal_record(out[0], run_baseline);
-              replay.push_back(record);
-              if (send(shard::MsgType::FaultResult, record) != 0) {
-                end = ConnEnd::Lost;
-                serving = false;
-                break;
-              }
-            }
-            if (serving && send(shard::MsgType::GroupDone, "") != 0) {
-              end = ConnEnd::Lost;
-              serving = false;
-            }
-            break;
-          }
-          default:
-            break;  // coordinator never sends other types mid-serve; ignore
-        }
-      }
+      serve.heartbeat_period_ms = welcome.heartbeat_period_ms;
+      serve.incarnation = welcome.incarnation;
+      end = shard::serve_assignments(
+          chan, reader, lane, serve,
+          [&](const MotBatchItem& /*item*/, const std::string& record) {
+            ++report->faults_simulated;
+            replay.push_back(record);
+          });
     }
-
-    stop_heartbeat();
     chan.close();
 
     switch (end) {
-      case ConnEnd::Shutdown:
+      case shard::ServeEnd::Shutdown:
         report->clean_shutdown = true;
         return kRemoteWorkerOk;
-      case ConnEnd::Cancelled:
+      case shard::ServeEnd::Cancelled:
         report->error = "cancelled";
         return kRemoteWorkerOk;
-      case ConnEnd::ChaosKilled:
+      case shard::ServeEnd::ChaosKilled:
         // Emulated SIGKILL: the "process" loses everything it knew and a
         // fresh one reconnects. The coordinator sees an abrupt disconnect
         // followed by a new incarnation — indistinguishable from the real
@@ -365,9 +204,7 @@ int serve_remote_worker(const Circuit& c, MotOptions options, bool run_baseline,
         replay.clear();
         ++report->chaos_kills;
         continue;
-      case ConnEnd::Rejected:
-        return kRemoteWorkerTransportFailure;
-      case ConnEnd::Lost:
+      case shard::ServeEnd::Lost:
         if (connect_failed("connection lost")) {
           return kRemoteWorkerTransportFailure;
         }

@@ -6,8 +6,11 @@
 // serve_remote_worker (`--connect`). The worker rebuilds the exact same
 // deterministic pipeline the coordinator runs — circuit, test sequence,
 // options — from its own flags, proves it via the JournalMeta handshake
-// (shard.hpp), and then serves Assign/Shutdown frames over TCP exactly the
-// way a forked pipe worker does.
+// (shard.hpp), and then serves Assign/Shutdown frames over TCP with the
+// same loop a forked pipe worker runs (shard::serve_assignments). The two
+// worker kinds share that loop, and the coordinator gives both the same
+// one-channel slot; they differ only in spawn (connect vs fork), handshake
+// (Hello/Welcome vs none) and replay (in-memory log vs journal shard).
 //
 // Robustness contract (the whole point of this layer):
 //
@@ -32,8 +35,8 @@
 //                           test binary): no signal handlers, no _exit, no
 //                           globals. The CLI owns signals and exit codes.
 //
-// The chaos hooks mirror the fork-mode worker's: the seeded kill schedule
-// fires at the same point (after FaultStart, before the result). With
+// The chaos hooks are the fork-mode worker's, in the same shared loop: the
+// seeded kill schedule fires after FaultStart, before the result. With
 // `chaos_die_hard` the worker raises SIGKILL for real (CLI processes); the
 // in-process tests leave it false and get an *emulated* kill instead — the
 // worker drops its connection, forgets its replay log (a killed process

@@ -1,7 +1,14 @@
 #include "faultsim/shard.hpp"
 
+#include <signal.h>
+
 #include <algorithm>
 #include <charconv>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
+#include <thread>
 
 namespace motsim::shard {
 
@@ -179,6 +186,144 @@ bool chaos_should_kill(std::uint64_t seed, std::size_t fault_index,
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   z ^= z >> 31;
   return z % 1000 < permille;
+}
+
+namespace {
+
+/// Calls `beat` every `period_ms` on its own thread for as long as it lives
+/// (0 = no thread), until a beat fails. It sleeps until the next beat is due
+/// instead of polling a short tick, and the destructor interrupts that wait
+/// and joins — on every exit path of the serve loop, exceptions included.
+class HeartbeatThread {
+ public:
+  HeartbeatThread(std::uint64_t period_ms, std::function<int()> beat) {
+    if (period_ms == 0) return;
+    thread_ = std::thread([this, period_ms, beat = std::move(beat)] {
+      const auto period = std::chrono::milliseconds(period_ms);
+      std::unique_lock<std::mutex> lk(mu_);
+      auto next = std::chrono::steady_clock::now() + period;
+      while (!cv_.wait_until(lk, next, [&] { return stop_; })) {
+        if (beat() != 0) break;
+        next = std::chrono::steady_clock::now() + period;
+      }
+    });
+  }
+  ~HeartbeatThread() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    if (thread_.joinable()) thread_.join();
+  }
+  HeartbeatThread(const HeartbeatThread&) = delete;
+  HeartbeatThread& operator=(const HeartbeatThread&) = delete;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;  // guarded by mu_
+  std::thread thread_;
+};
+
+}  // namespace
+
+ServeEnd serve_assignments(netio::ByteChannel& chan,
+                           subprocess::FrameReader& reader,
+                           const WorkerLane& lane, const ServeOptions& opts,
+                           const ResultSink& on_result) {
+  namespace sp = subprocess;
+  using Feed = sp::FrameReader::FeedStatus;
+
+  std::mutex write_mu;
+  auto send = [&](MsgType type, std::string_view payload) {
+    std::lock_guard<std::mutex> lk(write_mu);
+    return sp::write_frame(chan, static_cast<std::uint8_t>(type), payload);
+  };
+
+  const HeartbeatThread heartbeat(
+      opts.heartbeat_period_ms, [&] { return send(MsgType::Heartbeat, ""); });
+
+  auto cancelled = [&] {
+    return opts.cancel != nullptr && opts.cancel->cancelled();
+  };
+  // Without a cancel token there is nothing to wake up for while idle.
+  const int idle_poll_ms = opts.cancel != nullptr ? 200 : -1;
+  // Blocks until a frame arrives; false = link gone (or cancelled).
+  auto next_frame = [&](std::uint8_t& type, std::string& payload) {
+    while (true) {
+      if (reader.next(type, payload)) return true;
+      if (reader.corrupt() || cancelled()) return false;
+      const int ready = sp::poll_readable(chan.poll_fd(), idle_poll_ms);
+      if (ready < 0) return false;
+      if (ready == 0) continue;
+      int err = 0;
+      const Feed fs = reader.feed(err);
+      if (fs == Feed::Eof || fs == Feed::Error) return false;
+    }
+  };
+  // Non-blocking look at the command stream between faults: a buffered
+  // Shutdown and a dead link are different verdicts.
+  auto peek_control = [&]() -> std::optional<ServeEnd> {
+    while (true) {
+      std::uint8_t type = 0;
+      std::string payload;
+      if (reader.next(type, payload)) {
+        if (static_cast<MsgType>(type) == MsgType::Shutdown) {
+          return ServeEnd::Shutdown;
+        }
+        continue;  // unexpected mid-group frame; ignore
+      }
+      if (reader.corrupt()) return ServeEnd::Lost;
+      if (sp::poll_readable(chan.poll_fd(), 0) <= 0) return std::nullopt;
+      int err = 0;
+      const Feed fs = reader.feed(err);
+      if (fs == Feed::Eof || fs == Feed::Error) return ServeEnd::Lost;
+      if (fs == Feed::WouldBlock) return std::nullopt;
+    }
+  };
+
+  // Runs one Assign payload; nullopt = group done, keep serving.
+  auto serve_group = [&](std::string_view payload) -> std::optional<ServeEnd> {
+    std::vector<std::size_t> group;
+    if (!decode_assign(payload, group)) return ServeEnd::Lost;
+    for (const std::size_t k : group) {
+      if (cancelled()) return ServeEnd::Cancelled;
+      if (const auto end = peek_control()) return end;
+      if (send(MsgType::FaultStart, encode_fault_start(k)) != 0) {
+        return ServeEnd::Lost;
+      }
+      // Chaos: die exactly where a crashing engine would — fault announced,
+      // result not yet produced.
+      if (k == opts.chaos_abort_fault ||
+          chaos_should_kill(opts.chaos_kill_seed, k, opts.incarnation,
+                            opts.chaos_kill_permille)) {
+        if (opts.die_hard) ::raise(SIGKILL);
+        return ServeEnd::ChaosKilled;
+      }
+      const std::size_t one[] = {k};
+      const std::vector<MotBatchItem> out =
+          lane.runner.run(lane.test, lane.good, lane.faults, one);
+      const std::string record =
+          encode_journal_record(out[0], lane.run_baseline);
+      on_result(out[0], record);
+      if (send(MsgType::FaultResult, record) != 0) return ServeEnd::Lost;
+    }
+    if (send(MsgType::GroupDone, "") != 0) return ServeEnd::Lost;
+    return std::nullopt;
+  };
+
+  while (true) {
+    std::uint8_t type = 0;
+    std::string payload;
+    if (!next_frame(type, payload)) {
+      return cancelled() ? ServeEnd::Cancelled : ServeEnd::Lost;
+    }
+    const auto mt = static_cast<MsgType>(type);
+    if (mt == MsgType::Shutdown) return ServeEnd::Shutdown;
+    if (mt != MsgType::Assign) continue;  // nothing else is sent mid-serve
+    if (const auto end = serve_group(payload)) return *end;
+  }
 }
 
 }  // namespace motsim::shard

@@ -45,15 +45,24 @@
 // coordinator's fencing token: the coordinator processes frames only from
 // the connection it most recently welcomed into a slot, so a fenced-off
 // zombie's late frames land on a closed socket, never in the merge.
+//
+// Worker side: serve_assignments is the one loop that answers Assign frames,
+// for both transports. A forked worker runs it over its inherited pipe pair
+// right after fork; a TCP worker runs it after its handshake and replay.
+// What differs between the two — spawn, handshake, replay, what a result
+// sink does with each record — stays with the caller.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "faultsim/checkpoint.hpp"
+#include "util/deadline.hpp"
+#include "util/subprocess.hpp"
 
 namespace motsim::shard {
 
@@ -117,5 +126,56 @@ std::vector<std::vector<std::size_t>> plan_fault_groups(
 /// K-attempts quarantine.
 bool chaos_should_kill(std::uint64_t seed, std::size_t fault_index,
                        std::size_t incarnation, std::uint64_t permille);
+
+/// The pipeline a worker grades faults of, one at a time (Procedure 2 grades
+/// each fault on its own). `runner` must be a serial lane (num_threads = 1).
+struct WorkerLane {
+  const MotBatchRunner& runner;
+  const TestSequence& test;
+  const SeqTrace& good;
+  const std::vector<Fault>& faults;
+  bool run_baseline = false;
+};
+
+/// Per-connection knobs of serve_assignments.
+struct ServeOptions {
+  /// Heartbeat frame period (0 = no heartbeat thread).
+  std::uint64_t heartbeat_period_ms = 0;
+  /// This life's incarnation — an input of the chaos kill schedule.
+  std::size_t incarnation = 0;
+  std::uint64_t chaos_kill_permille = 0;
+  std::uint64_t chaos_kill_seed = 0;
+  std::size_t chaos_abort_fault = static_cast<std::size_t>(-1);
+  /// true: a chaos kill raises SIGKILL. false: it returns ChaosKilled.
+  bool die_hard = false;
+  /// Checked before each fault and while idle; nullptr = never cancelled.
+  const CancelToken* cancel = nullptr;
+};
+
+/// How serve_assignments ended.
+enum class ServeEnd : std::uint8_t {
+  Shutdown,     ///< the coordinator sent Shutdown
+  Lost,         ///< EOF, I/O error, corrupt stream or malformed Assign
+  ChaosKilled,  ///< the chaos schedule fired with die_hard = false
+  Cancelled,    ///< `cancel` tripped
+};
+
+/// Receives each fault's outcome and its journal record, before the
+/// FaultResult frame carrying that record is sent.
+using ResultSink =
+    std::function<void(const MotBatchItem& item, const std::string& record)>;
+
+/// Serves Assign frames read through `reader` (which reads `chan`) until
+/// Shutdown, link loss, a chaos kill or cancellation. Each assigned fault is
+/// announced with FaultStart, simulated on `lane`, handed to `on_result` and
+/// streamed as FaultResult; GroupDone closes the group. Between faults a
+/// buffered Shutdown ends the loop with Shutdown, while EOF there ends it
+/// with Lost: a caller that can reconnect must not mistake a dead link for
+/// the end of the campaign. Heartbeats run on their own thread while the
+/// loop is active; writes to `chan` are serialized internally.
+ServeEnd serve_assignments(netio::ByteChannel& chan,
+                           subprocess::FrameReader& reader,
+                           const WorkerLane& lane, const ServeOptions& opts,
+                           const ResultSink& on_result);
 
 }  // namespace motsim::shard

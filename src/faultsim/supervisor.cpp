@@ -6,12 +6,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <condition_variable>
+#include <chrono>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -41,22 +39,8 @@ struct WorkerContext {
   bool run_baseline = false;
   JournalMeta meta;
   std::string shard_path;  // "" = no shard journaling
-  std::uint64_t heartbeat_period_ms = 0;
-  std::size_t incarnation = 0;
-  std::uint64_t chaos_kill_permille = 0;
-  std::uint64_t chaos_kill_seed = 0;
-  std::size_t chaos_abort_fault = kNoFault;
+  shard::ServeOptions serve;
 };
-
-int poll_one(int fd, int timeout_ms) {
-  struct pollfd p = {fd, POLLIN, 0};
-  while (true) {
-    const int r = ::poll(&p, 1, timeout_ms);
-    if (r >= 0) return r;
-    if (errno == EINTR) return 0;  // let the caller re-check stop conditions
-    return -1;
-  }
-}
 
 /// The worker process body: serve Assign frames until Shutdown/EOF.
 /// Runs after fork; must never return into the forked copy of the
@@ -66,158 +50,44 @@ int worker_main(int cmd_fd, int res_fd, const WorkerContext& ctx) {
   // through the coordinator's clean-shutdown path, not kill workers ahead
   // of their final results. SIGTERM drops any handler inherited from the
   // CLI (whose CancelToken means nothing here). SIGPIPE on a dead
-  // coordinator becomes EPIPE, which exits the loop below.
+  // coordinator becomes EPIPE, which ends the serve loop.
   ::signal(SIGINT, SIG_IGN);
   ::signal(SIGTERM, SIG_DFL);
   ::signal(SIGPIPE, SIG_IGN);
 
-  MotOptions opt = ctx.options;
-  const MotBatchRunner runner(*ctx.circuit, opt, ctx.run_baseline);
-
-  std::unique_ptr<CampaignJournal> shard;
+  const MotBatchRunner runner(*ctx.circuit, ctx.options, ctx.run_baseline);
+  std::unique_ptr<CampaignJournal> journal_shard;
   if (!ctx.shard_path.empty()) {
     // Shard journaling is belt-and-braces on top of the pipe; a worker that
     // cannot create its shard still contributes via frames alone.
     std::string err;
-    shard = CampaignJournal::create(ctx.shard_path, ctx.meta, err);
+    journal_shard = CampaignJournal::create(ctx.shard_path, ctx.meta, err);
   }
 
-  std::mutex write_mu;
-  auto send = [&](shard::MsgType type, std::string_view payload) {
-    std::lock_guard<std::mutex> lk(write_mu);
-    return sp::write_frame(res_fd, static_cast<std::uint8_t>(type), payload);
-  };
-
-  std::atomic<bool> stop{false};
-  std::mutex hb_mu;
-  std::condition_variable hb_cv;
-  std::thread heartbeat;
-  if (ctx.heartbeat_period_ms > 0) {
-    // Sleeps until the next beat is due instead of polling a short tick:
-    // zero wakeups between beats, and shutdown interrupts the wait via the
-    // condition variable rather than waiting out the period.
-    heartbeat = std::thread([&] {
-      const auto period = std::chrono::milliseconds(ctx.heartbeat_period_ms);
-      std::unique_lock<std::mutex> lk(hb_mu);
-      auto next = std::chrono::steady_clock::now() + period;
-      while (!hb_cv.wait_until(lk, next, [&] {
-        return stop.load(std::memory_order_relaxed);
-      })) {
-        if (send(shard::MsgType::Heartbeat, "") != 0) break;
-        next = std::chrono::steady_clock::now() + period;
-      }
-    });
-  }
-
-  sp::FrameReader reader(cmd_fd);
-  // Blocks until a frame arrives (or EOF/corruption). Returns false when
-  // the worker should exit.
-  auto next_frame = [&](std::uint8_t& type, std::string& payload) {
-    while (true) {
-      if (reader.next(type, payload)) return true;
-      if (reader.corrupt()) return false;
-      if (poll_one(cmd_fd, -1) < 0) return false;
-      int err = 0;
-      const auto fs = reader.feed(err);
-      if (fs == sp::FrameReader::FeedStatus::Eof ||
-          fs == sp::FrameReader::FeedStatus::Error) {
-        return false;
-      }
-    }
-  };
-  // Non-blocking peek between faults: true when a Shutdown is pending.
-  auto shutdown_pending = [&] {
-    while (true) {
-      std::uint8_t type = 0;
-      std::string payload;
-      if (reader.next(type, payload)) {
-        if (static_cast<shard::MsgType>(type) == shard::MsgType::Shutdown) {
-          return true;
-        }
-        continue;  // unexpected mid-group frame; ignore
-      }
-      if (reader.corrupt()) return true;
-      if (poll_one(cmd_fd, 0) <= 0) return false;
-      int err = 0;
-      const auto fs = reader.feed(err);
-      if (fs == sp::FrameReader::FeedStatus::Eof ||
-          fs == sp::FrameReader::FeedStatus::Error) {
-        return true;
-      }
-      if (fs == sp::FrameReader::FeedStatus::WouldBlock) return false;
-    }
-  };
-
-  bool exiting = false;
-  std::vector<std::size_t> group;
-  while (!exiting) {
-    std::uint8_t type = 0;
-    std::string payload;
-    if (!next_frame(type, payload)) break;
-    switch (static_cast<shard::MsgType>(type)) {
-      case shard::MsgType::Shutdown:
-        exiting = true;
-        break;
-      case shard::MsgType::Assign: {
-        if (!shard::decode_assign(payload, group)) {
-          exiting = true;  // protocol violation; die visibly, not wrongly
-          break;
-        }
-        for (const std::size_t k : group) {
-          if (shutdown_pending()) {
-            exiting = true;
-            break;
-          }
-          if (send(shard::MsgType::FaultStart,
-                   shard::encode_fault_start(k)) != 0) {
-            exiting = true;
-            break;
-          }
-          // Chaos hooks (tests only): die exactly where a segfaulting
-          // engine would — after announcing the fault, before its result.
-          if (k == ctx.chaos_abort_fault ||
-              shard::chaos_should_kill(ctx.chaos_kill_seed, k,
-                                       ctx.incarnation,
-                                       ctx.chaos_kill_permille)) {
-            ::raise(SIGKILL);
-          }
-          const std::size_t one[] = {k};
-          const std::vector<MotBatchItem> out =
-              runner.run(*ctx.test, *ctx.good, *ctx.faults, one);
-          if (shard) shard->append(out[0]);
-          const std::string record =
-              encode_journal_record(out[0], ctx.run_baseline);
-          if (send(shard::MsgType::FaultResult, record) != 0) {
-            exiting = true;
-            break;
-          }
-        }
-        if (!exiting && send(shard::MsgType::GroupDone, "") != 0) {
-          exiting = true;
-        }
-        break;
-      }
-      default:
-        break;  // coordinator never sends other types; ignore
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lk(hb_mu);
-    stop.store(true, std::memory_order_relaxed);
-  }
-  hb_cv.notify_all();
-  if (heartbeat.joinable()) heartbeat.join();
+  netio::FdChannel chan(cmd_fd, res_fd, /*own=*/false);
+  sp::FrameReader reader(chan);
+  const shard::WorkerLane lane{runner, *ctx.test, *ctx.good, *ctx.faults,
+                               ctx.run_baseline};
+  // Every end is exit 0: the coordinator judges a worker by its frames and
+  // its wait status, and a chaos kill never returns (die_hard).
+  shard::serve_assignments(
+      chan, reader, lane, ctx.serve,
+      [&](const MotBatchItem& item, const std::string& /*record*/) {
+        if (journal_shard) journal_shard->append(item);
+      });
   return 0;
 }
 
-/// Coordinator-side view of one worker slot. Local mode fills `child` (a
-/// forked process reached over pipes); remote mode fills `chan` (a TCP
-/// connection that passed the handshake). Everything else — assignment,
-/// outstanding-fault accounting, liveness timestamps, incarnation fencing —
-/// is transport-agnostic.
+/// Coordinator-side view of one worker slot. `chan` is the slot's link to
+/// its worker: an owning FdChannel over a forked child's pipe pair, or the
+/// SocketChannel of a TCP connection that passed the handshake. `child`
+/// (pid, and the pipe fds its siblings must close after fork) is filled in
+/// local mode only. Everything else — assignment, outstanding-fault
+/// accounting, liveness timestamps, incarnation fencing — is
+/// transport-agnostic.
 struct Slot {
   sp::ChildHandles child;
-  std::unique_ptr<netio::ByteChannel> chan;  // remote transport (null = pipe)
+  std::unique_ptr<netio::ByteChannel> chan;
   std::unique_ptr<sp::FrameReader> reader;
   bool alive = false;
   std::size_t incarnation = 0;  // lives started on this slot so far
@@ -373,6 +243,12 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   std::vector<PendingConn> pending_conns;
   if (remote) sp::set_nonblocking(sup_.listen_fd);
 
+  // Workers beat at a quarter of the coordinator's silence timeout.
+  const std::uint64_t heartbeat_period_ms =
+      sup_.heartbeat_ms == 0
+          ? 0
+          : std::max<std::uint64_t>(sup_.heartbeat_ms / 4, 20);
+
   WorkerContext base_ctx;
   base_ctx.circuit = circuit_;
   base_ctx.test = &test;
@@ -385,19 +261,17 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
   base_ctx.options.campaign_time_ms = 0;
   base_ctx.run_baseline = run_baseline_;
   if (journal != nullptr) base_ctx.meta = journal->meta();
-  base_ctx.heartbeat_period_ms =
-      sup_.heartbeat_ms == 0
-          ? 0
-          : std::max<std::uint64_t>(sup_.heartbeat_ms / 4, 20);
-  base_ctx.chaos_kill_permille = sup_.chaos_kill_permille;
-  base_ctx.chaos_kill_seed = sup_.chaos_kill_seed;
-  base_ctx.chaos_abort_fault = sup_.chaos_abort_fault;
+  base_ctx.serve.heartbeat_period_ms = heartbeat_period_ms;
+  base_ctx.serve.chaos_kill_permille = sup_.chaos_kill_permille;
+  base_ctx.serve.chaos_kill_seed = sup_.chaos_kill_seed;
+  base_ctx.serve.chaos_abort_fault = sup_.chaos_abort_fault;
+  base_ctx.serve.die_hard = true;  // a forked worker is disposable
 
   auto spawn_slot = [&](std::size_t s) {
     Slot& slot = slots[s];
     WorkerContext ctx = base_ctx;
     ctx.shard_path = worker_shard_path(jpath, s);
-    ctx.incarnation = slot.incarnation;
+    ctx.serve.incarnation = slot.incarnation;
     std::vector<int> close_in_child;
     for (std::size_t o = 0; o < slots.size(); ++o) {
       if (o == s || !slots[o].alive) continue;
@@ -411,7 +285,9 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
         close_in_child, slot.child);
     if (err != 0) return false;
     sp::set_nonblocking(slot.child.result_fd);
-    slot.reader = std::make_unique<sp::FrameReader>(slot.child.result_fd);
+    slot.chan = std::make_unique<netio::FdChannel>(slot.child.result_fd,
+                                                   slot.child.command_fd);
+    slot.reader = std::make_unique<sp::FrameReader>(*slot.chan);
     slot.alive = true;
     ++slot.incarnation;
     slot.group.clear();
@@ -425,25 +301,15 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
 
   auto close_slot_fds = [&](Slot& slot) {
     slot.reader.reset();  // before the channel it reads from
-    if (slot.chan != nullptr) {
-      slot.chan->close();
-      slot.chan.reset();
-    }
-    if (slot.child.command_fd >= 0) ::close(slot.child.command_fd);
-    if (slot.child.result_fd >= 0) ::close(slot.child.result_fd);
+    slot.chan.reset();    // closes the pipe pair or the socket
     slot.child.command_fd = -1;
     slot.child.result_fd = -1;
   };
 
-  /// One frame to a slot's worker, whichever transport it sits behind.
   auto slot_write = [&](Slot& slot, shard::MsgType type,
                         std::string_view payload) {
-    if (slot.chan != nullptr) {
-      return sp::write_frame(*slot.chan, static_cast<std::uint8_t>(type),
-                             payload);
-    }
-    return sp::write_frame(slot.child.command_fd,
-                           static_cast<std::uint8_t>(type), payload);
+    return sp::write_frame(*slot.chan, static_cast<std::uint8_t>(type),
+                           payload);
   };
 
   auto assign_group = [&](Slot& slot, std::vector<std::size_t> group) {
@@ -547,7 +413,7 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
 
   auto kill_and_reap = [&](std::size_t s, const char* cause) {
     Slot& slot = slots[s];
-    if (slot.chan != nullptr) {
+    if (remote) {
       // No SIGKILL across a network. Closing the connection *is* the kill:
       // it fences this incarnation off — its late frames land on a closed
       // socket — and the worker, if actually alive, rejoins as a fresh
@@ -613,10 +479,7 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     shard::WelcomeInfo info;
     info.slot = chosen;
     info.incarnation = slot.incarnation;
-    info.heartbeat_period_ms = sup_.heartbeat_ms == 0
-                                   ? 0
-                                   : std::max<std::uint64_t>(
-                                         sup_.heartbeat_ms / 4, 20);
+    info.heartbeat_period_ms = heartbeat_period_ms;
     if (sp::write_frame(*pc.chan,
                         static_cast<std::uint8_t>(shard::MsgType::Welcome),
                         shard::encode_welcome(info)) != 0) {
@@ -861,7 +724,7 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
       if (!slots[s].alive) continue;
       if ((fds[f].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       if (!drain_frames(s)) {
-        if (slots[s].chan != nullptr) {
+        if (remote) {
           // Remote disconnect. During teardown it is the expected goodbye;
           // mid-campaign it is a death (even an idle worker's vanishing
           // matters: the rejoin window must open and the stats must show it).
@@ -886,7 +749,7 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
       }
     }
     for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (!slots[s].alive || slots[s].chan != nullptr) continue;
+      if (!slots[s].alive || remote) continue;
       int status = 0;
       if (sp::try_wait(slots[s].child.pid, status) == 1) {
         drain_frames(s);  // final pipe contents survive the process
@@ -927,7 +790,7 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     for (std::size_t s = 0; s < slots.size(); ++s) {
       Slot& slot = slots[s];
       if (!slot.alive) continue;
-      if (slot.chan != nullptr) {
+      if (remote) {
         // A remote worker acknowledges Shutdown by closing its end; there
         // is no process to reap here.
         if (!drain_frames(s)) {
@@ -957,7 +820,7 @@ std::vector<MotBatchItem> SupervisedMotRunner::run(
     if (sp::steady_now_ms() >= teardown_deadline) {
       for (Slot& slot : slots) {
         if (!slot.alive) continue;
-        if (slot.chan != nullptr) {
+        if (remote) {
           slot.alive = false;
           close_slot_fds(slot);  // past the grace: hang up on the straggler
           continue;

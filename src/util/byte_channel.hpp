@@ -66,8 +66,8 @@ class ByteChannel {
 /// pipe pair, where the two directions are distinct descriptors). Restarts
 /// EINTR internally. With `own` (the default) close() and the destructor
 /// ::close the descriptors; a borrowed channel (own = false) only forgets
-/// them — that is how FrameReader wraps an fd whose lifetime its owner
-/// already manages. Pass -1 for a direction the channel does not have.
+/// them — that is how a forked worker wraps the pipe ends it inherited.
+/// Pass -1 for a direction the channel does not have.
 class FdChannel final : public ByteChannel {
  public:
   /// One fd for both directions (socketpair, socket).

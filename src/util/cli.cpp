@@ -1,6 +1,6 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
 
 #include "util/strings.hpp"
 
@@ -44,7 +44,26 @@ std::int64_t CliArgs::get_int(const std::string& name, std::int64_t def) const {
   queried_[name] = true;
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string& text = it->second;
+  std::int64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc() || ptr != text.data() + text.size()) {
+    fail("--" + name + ": expected an integer, got '" + text + "'");
+    return def;
+  }
+  return value;
+}
+
+std::uint64_t CliArgs::get_uint(const std::string& name,
+                                std::uint64_t def) const {
+  const std::int64_t value = get_int(name, static_cast<std::int64_t>(def));
+  if (value < 0) {
+    fail("--" + name + ": expected a non-negative integer, got " +
+         std::to_string(value));
+    return def;
+  }
+  return static_cast<std::uint64_t>(value);
 }
 
 bool CliArgs::get_bool(const std::string& name, bool def) const {

@@ -1,7 +1,8 @@
 // Minimal command-line flag parser for the example binaries.
 //
 // Supports `--name value`, `--name=value` and boolean `--name`. Unknown flags
-// are reported rather than silently ignored so example invocations stay honest.
+// are reported rather than silently ignored, and a numeric flag whose value
+// does not parse is an error, so example invocations stay honest.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +14,8 @@ namespace motsim {
 
 class CliArgs {
  public:
-  /// Parses argv. On malformed input, `ok()` is false and `error()` explains.
+  /// Parses argv. On malformed input — here or in a later numeric getter —
+  /// `ok()` is false and `error()` explains the first problem.
   CliArgs(int argc, const char* const* argv);
 
   bool ok() const { return error_.empty(); }
@@ -21,7 +23,12 @@ class CliArgs {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& def) const;
+  /// A decimal integer. An empty, non-numeric, out-of-range or
+  /// trailing-garbage value is an error (see ok()) and returns `def`.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// Same, and a negative value is an error too — for counts, sizes and
+  /// budgets that would otherwise wrap around when cast to unsigned.
+  std::uint64_t get_uint(const std::string& name, std::uint64_t def) const;
   bool get_bool(const std::string& name, bool def = false) const;
 
   /// Positional (non-flag) arguments in order.
@@ -35,7 +42,11 @@ class CliArgs {
   std::map<std::string, std::string> flags_;
   mutable std::map<std::string, bool> queried_;
   std::vector<std::string> positional_;
-  std::string error_;
+  mutable std::string error_;
+
+  void fail(const std::string& message) const {
+    if (error_.empty()) error_ = message;
+  }
 };
 
 }  // namespace motsim

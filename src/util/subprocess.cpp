@@ -1,6 +1,7 @@
 #include "util/subprocess.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -18,6 +19,13 @@ int set_nonblocking(int fd) {
   return 0;
 }
 
+int poll_readable(int fd, int timeout_ms) {
+  struct pollfd p = {fd, POLLIN, 0};
+  const int r = ::poll(&p, 1, timeout_ms);
+  if (r >= 0) return r;
+  return errno == EINTR ? 0 : -1;
+}
+
 int make_pipe(Pipe& p) {
   int fds[2];
   if (::pipe(fds) != 0) return errno;
@@ -25,33 +33,6 @@ int make_pipe(Pipe& p) {
   p.write_fd = fds[1];
   return 0;
 }
-
-namespace {
-
-/// write() the whole buffer, restarting on EINTR. Returns 0 or errno; a
-/// zero-byte write on a pipe cannot happen for non-empty buffers, but is
-/// mapped to EIO defensively rather than looping forever.
-int write_exact(int fd, const char* data, std::size_t len) {
-  std::size_t done = 0;
-  int zero_writes = 0;
-  while (done < len) {
-    const ssize_t n = ::write(fd, data + done, len - done);
-    if (n > 0) {
-      done += static_cast<std::size_t>(n);
-      zero_writes = 0;
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n == 0) {
-      if (++zero_writes >= 8) return EIO;
-      continue;
-    }
-    return errno != 0 ? errno : EIO;
-  }
-  return 0;
-}
-
-}  // namespace
 
 namespace {
 
@@ -92,12 +73,6 @@ int write_frame(netio::ByteChannel& chan, std::uint8_t type,
     return err != 0 ? err : EIO;
   }
   return 0;
-}
-
-int write_frame(int fd, std::uint8_t type, std::string_view payload) {
-  if (payload.size() > kMaxFramePayload) return EMSGSIZE;
-  const std::string buf = frame_bytes(type, payload);
-  return write_exact(fd, buf.data(), buf.size());
 }
 
 FrameReader::FeedStatus FrameReader::feed(int& err) {

@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -43,6 +42,11 @@ namespace motsim::subprocess {
 
 /// Marks `fd` non-blocking (coordinator read ends). Returns 0 or errno.
 int set_nonblocking(int fd);
+
+/// poll() for readability (timeout_ms -1 = block). Returns >0 when `fd` is
+/// readable or hung up, 0 on timeout or EINTR (so the caller re-checks its
+/// stop conditions), -1 on error.
+int poll_readable(int fd, int timeout_ms);
 
 /// One direction of a parent<->child channel.
 struct Pipe {
@@ -67,12 +71,9 @@ inline constexpr std::size_t kMaxFramePayload = 1u << 20;
 int write_frame(netio::ByteChannel& chan, std::uint8_t type,
                 std::string_view payload);
 
-/// Same, over a raw fd (the fork/pipe transport's historical entry point).
-int write_frame(int fd, std::uint8_t type, std::string_view payload);
-
 /// Incremental frame reassembly over a (typically non-blocking) transport.
 /// Works over any ByteChannel — pipes, TCP sockets, or the fault-injecting
-/// test shim; the fd constructor borrows the descriptor without owning it.
+/// test shim. The reader borrows the channel, which must outlive it.
 ///
 /// Hostile-peer hardening (the reader also faces real network peers now):
 ///  * a frame header advertising more than kMaxFramePayload marks the
@@ -83,9 +84,6 @@ int write_frame(int fd, std::uint8_t type, std::string_view payload);
 ///    until the caller drains complete frames with next()).
 class FrameReader {
  public:
-  explicit FrameReader(int fd)
-      : owned_(std::make_unique<netio::FdChannel>(fd, /*own=*/false)),
-        chan_(owned_.get()) {}
   explicit FrameReader(netio::ByteChannel& chan) : chan_(&chan) {}
 
   enum class FeedStatus : std::uint8_t {
@@ -110,7 +108,6 @@ class FrameReader {
   int fd() const { return chan_->poll_fd(); }
 
  private:
-  std::unique_ptr<netio::ByteChannel> owned_;  // fd constructor only
   netio::ByteChannel* chan_;
   std::string buf_;
   bool corrupt_ = false;

@@ -37,6 +37,14 @@ check "clean run completes" 0 $?
 check "--journal with --resume is a usage error" 1 $?
 "$BIN" --journal "$TMP/j.journal" --circuits s298,s344 > /dev/null 2>&1
 check "--journal needs exactly one circuit" 1 $?
+# Numeric flags parse strictly: garbage or a negative count is a usage
+# error, never a silent default or a wrap-around through an unsigned cast.
+"$BIN" --circuits s298 --threads abc > /dev/null 2>&1
+check "--threads abc is a usage error" 1 $?
+"$BIN" --circuits s298 --nstates -5 > /dev/null 2>&1
+check "--nstates -5 is a usage error" 1 $?
+"$BIN" --circuits s298 --workers -1 > /dev/null 2>&1
+check "--workers -1 is a usage error" 1 $?
 
 # 2 — an exhausted campaign budget leaves incomplete faults (budget 1 ms:
 # the campaign deadline fires before the MOT candidates are processed).

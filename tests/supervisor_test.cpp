@@ -3,14 +3,22 @@
 // bit-identity of the supervised merge with the in-process runner under
 // arbitrary worker counts and seeded kill schedules, poison-fault
 // quarantine, fleet-loss partial completion, and journal interop (shard
-// harvest + resume through the ordinary in-process path).
+// harvest + resume through the ordinary in-process path). The worker serve
+// loop both transports share is driven in-process over a socketpair.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuits/embedded.hpp"
@@ -22,8 +30,10 @@
 #include "faultsim/shard.hpp"
 #include "faultsim/supervisor.hpp"
 #include "testgen/random_gen.hpp"
+#include "util/byte_channel.hpp"
 #include "util/chaos_proxy.hpp"
 #include "util/socket.hpp"
+#include "util/subprocess.hpp"
 
 namespace motsim {
 namespace {
@@ -59,6 +69,14 @@ void expect_items_identical(const std::vector<MotBatchItem>& a,
     EXPECT_EQ(a[i], b[i]) << "item " << i << " (fault " << a[i].fault_index
                           << ")";
   }
+}
+
+// A journal path private to this process: ctest runs this binary as two
+// tests at once (supervisor_test and the remote-filtered remote_unit_tests),
+// and they must not remove each other's journals.
+std::string temp_journal(const std::string& name) {
+  return testing::TempDir() + "/" + name + "." + std::to_string(::getpid()) +
+         ".journal";
 }
 
 // Supervisor options tuned for tests: no real backoff sleeps, generous
@@ -182,6 +200,184 @@ TEST(ChaosSchedule, DeterministicAndIncarnationSensitive) {
 TEST(WorkerShardPath, DerivedFromJournalPath) {
   EXPECT_EQ(worker_shard_path("", 3), "");
   EXPECT_EQ(worker_shard_path("/tmp/camp.journal", 3), "/tmp/camp.journal.w3");
+}
+
+// -------------------------------------------------------- serve loop ----
+
+// One worker link in-process: a socketpair whose worker end is wrapped in an
+// FdChannel, exactly as a forked worker wraps its inherited pipe pair. The
+// test plays the coordinator on the other end.
+struct ServeLink {
+  using Frame = std::pair<std::string, std::string>;  // (type name, payload)
+
+  int fds[2] = {-1, -1};
+  std::unique_ptr<netio::FdChannel> worker;
+  std::unique_ptr<subprocess::FrameReader> worker_reader;
+  std::unique_ptr<netio::FdChannel> coord;
+  std::unique_ptr<subprocess::FrameReader> coord_reader;
+  std::vector<Frame> frames;  // everything the worker sent, heartbeats aside
+
+  ServeLink() {
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    EXPECT_EQ(subprocess::set_nonblocking(fds[1]), 0);
+    worker = std::make_unique<netio::FdChannel>(fds[0]);
+    worker_reader = std::make_unique<subprocess::FrameReader>(*worker);
+    coord = std::make_unique<netio::FdChannel>(fds[1]);
+    coord_reader = std::make_unique<subprocess::FrameReader>(*coord);
+  }
+
+  void send(shard::MsgType type, std::string_view payload) {
+    EXPECT_EQ(subprocess::write_frame(*coord, static_cast<std::uint8_t>(type),
+                                    payload),
+              0);
+  }
+
+  /// Appends every frame the worker has written so far to `frames`.
+  void drain() {
+    while (true) {
+      std::uint8_t type = 0;
+      std::string payload;
+      while (coord_reader->next(type, payload)) {
+        const auto mt = static_cast<shard::MsgType>(type);
+        if (mt != shard::MsgType::Heartbeat) {
+          frames.emplace_back(shard::to_string(mt), payload);
+        }
+      }
+      int err = 0;
+      if (coord_reader->feed(err) != subprocess::FrameReader::FeedStatus::Data) {
+        return;
+      }
+    }
+  }
+
+  std::size_t count(shard::MsgType type) const {
+    return static_cast<std::size_t>(
+        std::count_if(frames.begin(), frames.end(), [&](const Frame& f) {
+          return f.first == shard::to_string(type);
+        }));
+  }
+};
+
+// The first three MOT candidates of a small s298 campaign, with the direct
+// single-lane outcomes every serve-loop test compares against.
+struct ServeFixture {
+  Pipeline p = prepare(circuits::build_benchmark("s298"), 24, 11);
+  MotOptions opt = [] {
+    MotOptions o;
+    o.num_threads = 1;
+    return o;
+  }();
+  MotBatchRunner runner{p.circuit, opt, /*run_baseline=*/true};
+  std::vector<std::size_t> group{
+      p.candidates.begin(),
+      p.candidates.begin() + std::min<std::size_t>(p.candidates.size(), 3)};
+  shard::WorkerLane lane{runner, p.test, p.good, p.faults,
+                         /*run_baseline=*/true};
+
+  ServeLink::Frame start(std::size_t i) const {
+    return {"fault-start", shard::encode_fault_start(group[i])};
+  }
+};
+
+// Assign -> FaultStart/FaultResult per fault -> GroupDone, with each result
+// byte-equal to the journal record of a direct MotBatchRunner run, and the
+// sink called before the FaultResult it precedes is on the wire.
+TEST(ShardServe, AssignStreamsTheRecordsOfADirectRun) {
+  const ServeFixture fx;
+  ASSERT_EQ(fx.group.size(), 3u);
+  const std::vector<MotBatchItem> want =
+      fx.runner.run(fx.p.test, fx.p.good, fx.p.faults, fx.group);
+
+  ServeLink link;
+  link.send(shard::MsgType::Assign, shard::encode_assign(fx.group));
+  shard::ServeOptions serve;
+  serve.heartbeat_period_ms = 5;  // runs the heartbeat thread alongside
+  std::size_t sunk = 0;
+  const shard::ServeEnd end = shard::serve_assignments(
+      *link.worker, *link.worker_reader, fx.lane, serve,
+      [&](const MotBatchItem& item, const std::string& record) {
+        link.drain();
+        EXPECT_EQ(link.count(shard::MsgType::FaultResult), sunk);
+        ASSERT_FALSE(link.frames.empty());
+        EXPECT_EQ(link.frames.back(), fx.start(sunk));
+        EXPECT_EQ(item, want[sunk]);
+        EXPECT_EQ(record, encode_journal_record(want[sunk], true));
+        // Queued behind the group: the loop reads it after GroupDone.
+        if (++sunk == fx.group.size()) link.send(shard::MsgType::Shutdown, "");
+      });
+  EXPECT_EQ(end, shard::ServeEnd::Shutdown);
+  EXPECT_EQ(sunk, fx.group.size());
+
+  link.drain();
+  std::vector<ServeLink::Frame> expected;
+  for (std::size_t i = 0; i < fx.group.size(); ++i) {
+    expected.push_back(fx.start(i));
+    expected.emplace_back("fault-result",
+                          encode_journal_record(want[i], true));
+  }
+  expected.emplace_back("group-done", "");
+  EXPECT_EQ(link.frames, expected);
+}
+
+// A Shutdown that arrives while a group is being served is honoured at the
+// next fault boundary: the rest of the group is never started.
+TEST(ShardServe, ShutdownBufferedBetweenFaultsEndsWithShutdown) {
+  const ServeFixture fx;
+  ASSERT_EQ(fx.group.size(), 3u);
+  ServeLink link;
+  link.send(shard::MsgType::Assign, shard::encode_assign(fx.group));
+  const shard::ServeEnd end = shard::serve_assignments(
+      *link.worker, *link.worker_reader, fx.lane, {},
+      [&](const MotBatchItem&, const std::string&) {
+        link.send(shard::MsgType::Shutdown, "");
+      });
+  EXPECT_EQ(end, shard::ServeEnd::Shutdown);
+  link.drain();
+  EXPECT_EQ(link.count(shard::MsgType::FaultStart), 1u);
+  EXPECT_EQ(link.count(shard::MsgType::FaultResult), 1u);
+  EXPECT_EQ(link.count(shard::MsgType::GroupDone), 0u);
+}
+
+// EOF between faults is a lost link, not a Shutdown: a TCP worker must
+// reconnect and replay instead of exiting as if the campaign were over (the
+// single-worker mid-group-sever regression, pinned at the unit level).
+TEST(ShardServe, EofBetweenFaultsIsLostNotShutdown) {
+  const ServeFixture fx;
+  ASSERT_EQ(fx.group.size(), 3u);
+  ServeLink link;
+  link.send(shard::MsgType::Assign, shard::encode_assign(fx.group));
+  const shard::ServeEnd end = shard::serve_assignments(
+      *link.worker, *link.worker_reader, fx.lane, {},
+      [&](const MotBatchItem&, const std::string&) {
+        ::shutdown(link.fds[1], SHUT_WR);  // the coordinator hangs up
+      });
+  EXPECT_EQ(end, shard::ServeEnd::Lost);
+  link.drain();
+  EXPECT_EQ(link.count(shard::MsgType::FaultStart), 1u);
+  EXPECT_EQ(link.count(shard::MsgType::FaultResult), 1u);
+}
+
+// The chaos hook without die_hard returns ChaosKilled right after the
+// doomed fault's FaultStart — announced, never simulated.
+TEST(ShardServe, ChaosAbortWithoutDieHardEndsChaosKilled) {
+  const ServeFixture fx;
+  ASSERT_EQ(fx.group.size(), 3u);
+  ServeLink link;
+  link.send(shard::MsgType::Assign, shard::encode_assign(fx.group));
+  shard::ServeOptions serve;
+  serve.chaos_abort_fault = fx.group[1];
+  serve.die_hard = false;
+  std::size_t sunk = 0;
+  const shard::ServeEnd end = shard::serve_assignments(
+      *link.worker, *link.worker_reader, fx.lane, serve,
+      [&](const MotBatchItem&, const std::string&) { ++sunk; });
+  EXPECT_EQ(end, shard::ServeEnd::ChaosKilled);
+  EXPECT_EQ(sunk, 1u);
+  link.drain();
+  ASSERT_EQ(link.frames.size(), 3u);
+  EXPECT_EQ(link.frames[0], fx.start(0));
+  EXPECT_EQ(link.frames[1].first, "fault-result");
+  EXPECT_EQ(link.frames[2], fx.start(1));
 }
 
 // -------------------------------------------------- supervised runner ----
@@ -329,7 +525,7 @@ TEST(SupervisedMotRunner, KilledCampaignResumesThroughInProcessRunner) {
   const std::vector<MotBatchItem> want =
       reference.run(p.test, p.good, p.faults, p.candidates);
 
-  const std::string path = testing::TempDir() + "/supervised_resume.journal";
+  const std::string path = temp_journal("supervised_resume");
   const JournalMeta meta = make_journal_meta(p.circuit.name(), p.faults.size(),
                                              p.test, opt, /*baseline=*/true);
   std::string err;
@@ -378,7 +574,7 @@ TEST(SupervisedMotRunner, JournaledChaosRunCompletesAndResumesToNoop) {
   const std::vector<MotBatchItem> want =
       reference.run(p.test, p.good, p.faults, p.candidates);
 
-  const std::string path = testing::TempDir() + "/supervised_chaos.journal";
+  const std::string path = temp_journal("supervised_chaos");
   const JournalMeta meta = make_journal_meta(p.circuit.name(), p.faults.size(),
                                              p.test, opt, /*baseline=*/true);
   std::string err;
@@ -412,14 +608,44 @@ TEST(SupervisedMotRunner, JournaledChaosRunCompletesAndResumesToNoop) {
 
 // --------------------------------------------------- remote supervision ----
 
-// Opens the coordinator's loopback listener on an ephemeral port.
-int open_listener(std::uint16_t& port) {
+// Opens the coordinator's loopback listener on an ephemeral port. With
+// `hello_gate` (TCP_DEFER_ACCEPT) a connection enters the accept queue only
+// once the worker's first bytes, its Hello, have arrived.
+int open_listener(std::uint16_t& port, bool hello_gate = false) {
   std::string error;
   const int fd = netio::tcp_listen("127.0.0.1", 0, error);
   EXPECT_GE(fd, 0) << error;
   port = fd >= 0 ? netio::local_port(fd) : 0;
   EXPECT_NE(port, 0);
+  if (hello_gate && fd >= 0) {
+    const int seconds = 30;
+    EXPECT_EQ(::setsockopt(fd, IPPROTO_TCP, TCP_DEFER_ACCEPT, &seconds,
+                           sizeof seconds),
+              0);
+  }
   return fd;
+}
+
+// Waits (up to 10 s) until `n` connections sit in the accept queue of a
+// hello-gated listener, i.e. until every worker of a fleet has connected
+// and sent its Hello. A test that expects every worker to join must wait
+// for this before it starts the coordinator: a worker thread that runs late
+// can otherwise present its Hello after a small campaign is already
+// complete, and then never joins it. Linux reports the accept-queue length
+// of a listening socket as tcpi_unacked.
+bool wait_for_queued(int listen_fd, std::size_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    struct tcp_info info = {};
+    socklen_t len = sizeof info;
+    if (::getsockopt(listen_fd, IPPROTO_TCP, TCP_INFO, &info, &len) != 0) {
+      return false;
+    }
+    if (info.tcpi_unacked >= n) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
 }
 
 // Worker options tuned for tests: tiny backoff, a bounded attempt budget so
@@ -474,10 +700,11 @@ TEST(RemoteSupervision, LoopbackWorkersMatchInProcess) {
   for (const std::size_t workers :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     std::uint16_t port = 0;
-    const int listen_fd = open_listener(port);
+    const int listen_fd = open_listener(port, /*hello_gate=*/true);
     ASSERT_GE(listen_fd, 0);
     WorkerFleet fleet;
     fleet.launch(workers, p, opt, /*run_baseline=*/true, test_remote(port));
+    EXPECT_TRUE(wait_for_queued(listen_fd, workers)) << workers << " workers";
 
     SupervisorOptions sup = test_sup(workers);
     sup.listen_fd = listen_fd;
@@ -486,8 +713,8 @@ TEST(RemoteSupervision, LoopbackWorkersMatchInProcess) {
     SupervisorStats stats;
     const std::vector<MotBatchItem> got = runner.run(
         p.test, p.good, p.faults, p.candidates, nullptr, nullptr, &stats);
+    ::close(listen_fd);  // orphaned reconnects fail fast, not via timeout
     fleet.join();
-    ::close(listen_fd);
 
     expect_items_identical(got, want);
     EXPECT_EQ(stats.worker_deaths, 0u) << workers << " workers";
@@ -679,7 +906,7 @@ TEST(RemoteSupervision, MismatchedCampaignIsRejectedAtHandshake) {
       reference.run(p.test, p.good, p.faults, p.candidates);
 
   std::uint16_t port = 0;
-  const int listen_fd = open_listener(port);
+  const int listen_fd = open_listener(port, /*hello_gate=*/true);
   ASSERT_GE(listen_fd, 0);
 
   MotOptions drifted = opt;
@@ -688,6 +915,7 @@ TEST(RemoteSupervision, MismatchedCampaignIsRejectedAtHandshake) {
   bad.launch(1, p, drifted, /*run_baseline=*/true, test_remote(port));
   WorkerFleet good;
   good.launch(1, p, opt, /*run_baseline=*/true, test_remote(port));
+  EXPECT_TRUE(wait_for_queued(listen_fd, 2));
 
   SupervisorOptions sup = test_sup(1);
   sup.listen_fd = listen_fd;
@@ -720,7 +948,7 @@ TEST(RemoteSupervision, JournaledRemoteChaosRunResumesToNoop) {
   const std::vector<MotBatchItem> want =
       reference.run(p.test, p.good, p.faults, p.candidates);
 
-  const std::string path = testing::TempDir() + "/remote_chaos.journal";
+  const std::string path = temp_journal("remote_chaos");
   const JournalMeta meta = make_journal_meta(p.circuit.name(), p.faults.size(),
                                              p.test, opt, /*baseline=*/true);
   std::string err;

@@ -252,6 +252,34 @@ TEST(Cli, GetInt) {
   EXPECT_EQ(args.get_int("n", 0), 128);
   // "-5" is treated as a value (not a flag) because it lacks "--".
   EXPECT_EQ(args.get_int("neg", 0), -5);
+  EXPECT_TRUE(args.ok());
+}
+
+TEST(Cli, NumericGettersRejectMalformedValues) {
+  // A value that is not exactly one decimal integer is a usage error, never
+  // a silent 0 or default: ok() turns false, error() names the flag, and
+  // the getter returns the default.
+  for (const char* bad : {"abc", "12x", "", " 7", "99999999999999999999",
+                          "true"}) {
+    const std::string flag = std::string("--n=") + bad;
+    const char* argv[] = {"prog", flag.c_str()};
+    CliArgs args(2, argv);
+    EXPECT_EQ(args.get_int("n", 3), 3) << bad;
+    EXPECT_FALSE(args.ok()) << bad;
+    EXPECT_NE(args.error().find("--n"), std::string::npos) << args.error();
+  }
+}
+
+TEST(Cli, UnsignedGetterRejectsNegativeValues) {
+  const char* argv[] = {"prog", "--nstates", "-5", "--threads", "4"};
+  CliArgs args(5, argv);
+  EXPECT_EQ(args.get_uint("threads", 0), 4u);
+  EXPECT_TRUE(args.ok());
+  // -5 must not wrap to 2^64 - 5 through an unsigned cast.
+  EXPECT_EQ(args.get_uint("nstates", 64), 64u);
+  EXPECT_FALSE(args.ok());
+  EXPECT_NE(args.error().find("--nstates"), std::string::npos)
+      << args.error();
 }
 
 TEST(Cli, UnusedReportsUnqueriedFlags) {
@@ -539,10 +567,12 @@ TEST(Subprocess, FrameRoundTripsOverARealPipe) {
   ASSERT_EQ(sp::make_pipe(p), 0);
   const std::string payloads[] = {"", "x", std::string("with\0nul", 8),
                                   std::string(5000, 'q')};
+  netio::FdChannel wchan(p.write_fd, /*own=*/false);
   for (std::uint8_t type = 1; type <= 4; ++type) {
-    ASSERT_EQ(sp::write_frame(p.write_fd, type, payloads[type - 1]), 0);
+    ASSERT_EQ(sp::write_frame(wchan, type, payloads[type - 1]), 0);
   }
-  sp::FrameReader reader(p.read_fd);
+  netio::FdChannel rchan(p.read_fd, /*own=*/false);
+  sp::FrameReader reader(rchan);
   for (std::uint8_t want = 1; want <= 4; ++want) {
     std::uint8_t type = 0;
     std::string payload;
@@ -566,7 +596,8 @@ TEST(Subprocess, FrameReaderReassemblesByteDribbles) {
   for (int i = 0; i < 4; ++i) wire.push_back(static_cast<char>(len >> (8 * i)));
   wire += payload;
 
-  sp::FrameReader reader(p.read_fd);
+  netio::FdChannel rchan(p.read_fd, /*own=*/false);
+  sp::FrameReader reader(rchan);
   std::uint8_t type = 0;
   std::string got;
   for (const char ch : wire) {
@@ -589,7 +620,8 @@ TEST(Subprocess, FrameReaderFlagsImpossibleLengthAsCorrupt) {
   // Type byte + a length far beyond kMaxFramePayload.
   const unsigned char wire[5] = {1, 0xff, 0xff, 0xff, 0x7f};
   ASSERT_EQ(::write(p.write_fd, wire, sizeof wire), 5);
-  sp::FrameReader reader(p.read_fd);
+  netio::FdChannel rchan(p.read_fd, /*own=*/false);
+  sp::FrameReader reader(rchan);
   int err = 0;
   ASSERT_EQ(reader.feed(err), sp::FrameReader::FeedStatus::Data);
   std::uint8_t type = 0;
@@ -605,7 +637,8 @@ TEST(Subprocess, WriteFrameReportsDeadReader) {
   sp::Pipe p;
   ASSERT_EQ(sp::make_pipe(p), 0);
   ::close(p.read_fd);
-  EXPECT_EQ(sp::write_frame(p.write_fd, 1, "payload"), EPIPE);
+  netio::FdChannel wchan(p.write_fd, /*own=*/false);
+  EXPECT_EQ(sp::write_frame(wchan, 1, "payload"), EPIPE);
   ::close(p.write_fd);
 }
 
@@ -613,17 +646,19 @@ TEST(Subprocess, SpawnEchoChildAndCleanExit) {
   sp::ChildHandles child;
   ASSERT_EQ(sp::spawn(
                 [](int cmd_fd, int res_fd) {
-                  sp::FrameReader reader(cmd_fd);
+                  netio::FdChannel chan(cmd_fd, res_fd, /*own=*/false);
+                  sp::FrameReader reader(chan);
                   std::uint8_t type = 0;
                   std::string payload;
                   if (!read_one_frame(reader, type, payload)) return 3;
-                  if (sp::write_frame(res_fd, type, payload) != 0) return 4;
+                  if (sp::write_frame(chan, type, payload) != 0) return 4;
                   return 0;
                 },
                 {}, child),
             0);
-  ASSERT_EQ(sp::write_frame(child.command_fd, 9, "ping"), 0);
-  sp::FrameReader reader(child.result_fd);
+  netio::FdChannel chan(child.result_fd, child.command_fd, /*own=*/false);
+  ASSERT_EQ(sp::write_frame(chan, 9, "ping"), 0);
+  sp::FrameReader reader(chan);
   std::uint8_t type = 0;
   std::string payload;
   ASSERT_TRUE(read_one_frame(reader, type, payload));
@@ -668,7 +703,8 @@ TEST(Subprocess, TryWaitSeesRunningThenReaped) {
   sp::ChildHandles child;
   ASSERT_EQ(sp::spawn(
                 [](int cmd_fd, int) {
-                  sp::FrameReader reader(cmd_fd);
+                  netio::FdChannel chan(cmd_fd, /*own=*/false);
+                  sp::FrameReader reader(chan);
                   std::uint8_t type = 0;
                   std::string payload;
                   read_one_frame(reader, type, payload);
@@ -678,7 +714,8 @@ TEST(Subprocess, TryWaitSeesRunningThenReaped) {
             0);
   int status = 0;
   EXPECT_EQ(sp::try_wait(child.pid, status), 0);  // still blocked on a frame
-  ASSERT_EQ(sp::write_frame(child.command_fd, 1, ""), 0);
+  netio::FdChannel wchan(child.command_fd, /*own=*/false);
+  ASSERT_EQ(sp::write_frame(wchan, 1, ""), 0);
   ASSERT_EQ(sp::wait_blocking(child.pid, status), 0);
   EXPECT_TRUE(sp::exited_cleanly(status));
   ::close(child.command_fd);
@@ -871,7 +908,8 @@ TEST(ByteChannel, HostileLengthFuzzNeverAllocatesOrParses) {
     for (int i = 0; i < 4; ++i) {
       wire[1 + i] = static_cast<unsigned char>(len >> (8 * i));
     }
-    sp::FrameReader reader(p.read_fd);
+    netio::FdChannel rchan(p.read_fd, /*own=*/false);
+    sp::FrameReader reader(rchan);
     std::uint8_t type = 0;
     std::string payload;
     // Deliver the header in 1..5-byte slices (seeded), feeding after each.
