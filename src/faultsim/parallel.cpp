@@ -3,61 +3,23 @@
 #include <algorithm>
 #include <cassert>
 
-#include "logic/eval.hpp"
-#include "logic/pval.hpp"
-#include "netlist/levelized.hpp"
 #include "util/thread_pool.hpp"
 
 namespace motsim {
 
-namespace {
-
-constexpr std::size_t kGroup = 63;  // slot 63 carries the fault-free machine
-
-}  // namespace
-
-void ParallelFaultSimulator::run_group(const TestSequence& test,
+void ParallelFaultSimulator::run_group(const PackedGroupKernel& kernel,
+                                       const TestSequence& test,
                                        const SeqTrace& fault_free,
                                        const Fault* faults, std::size_t n_faults,
                                        ConvOutcome* outcomes,
                                        GroupScratch& scratch) const {
   const Circuit& c = *circuit_;
-  const LevelizedCircuit& lv = c.levelized();
-  const std::size_t L = test.length();
-
-  // Per-gate fault lists for quick fixup lookup, in reusable scratch (a
-  // fresh allocation per 63-fault group dominated the profile on the
-  // largest circuits). Only the <=63 touched entries are cleared.
-  auto& stem_faults = scratch.stem_faults;
-  auto& pin_faults = scratch.pin_faults;
-  for (GateId g : scratch.touched) {
-    stem_faults[g].clear();
-    pin_faults[g].clear();
-  }
-  scratch.touched.clear();
-  for (unsigned s = 0; s < n_faults; ++s) {
-    const GateId g = faults[s].gate;
-    if (stem_faults[g].empty() && pin_faults[g].empty()) {
-      scratch.touched.push_back(g);
-    }
-    if (faults[s].pin == kOutputPin) {
-      stem_faults[g].push_back(s);
-    } else {
-      pin_faults[g].push_back(s);
-    }
-  }
-
-  std::vector<PVal>& vals = scratch.vals;
+  kernel.build_sites(faults, n_faults, scratch.sites);
+  const FaultGroupSites& sites = scratch.sites;
   std::vector<PVal>& state = scratch.state;
-  vals.assign(c.num_gates(), pv_all_x());
-  state.assign(c.num_dffs(), pv_all_x());
-
-  // Initial state: all-X except stem-stuck flip-flop outputs.
-  for (std::size_t k = 0; k < c.num_dffs(); ++k) {
-    for (unsigned s : stem_faults[c.dffs()[k]]) {
-      pv_set(state[k], s, faults[s].stuck);
-    }
-  }
+  state.resize(c.num_dffs());
+  scratch.vals.resize(c.num_gates());
+  kernel.reset_state(sites, state.data());
 
   std::uint64_t detected = 0;
   // Condition (C) tracking: first frame with an unspecified state variable
@@ -65,84 +27,28 @@ void ParallelFaultSimulator::run_group(const TestSequence& test,
   std::vector<int> first_x_sv(64, -1);
   std::vector<int> last_out_pair(64, -1);
 
-  auto scalar_fixup = [&](GateId id) {
-    const Gate& g = c.gate(id);
-    for (unsigned s : pin_faults[id]) {
-      // Re-evaluate this gate for slot s with the faulty pin forced.
-      thread_local std::vector<Val> ins;
-      ins.clear();
-      for (std::size_t k = 0; k < g.fanins.size(); ++k) {
-        ins.push_back(static_cast<int>(k) == faults[s].pin
-                          ? faults[s].stuck
-                          : pv_get(vals[g.fanins[k]], s));
-      }
-      pv_set(vals[id], s, eval_gate(g.type, ins));
-    }
-    for (unsigned s : stem_faults[id]) {
-      pv_set(vals[id], s, faults[s].stuck);
-    }
-  };
-
-  for (std::size_t u = 0; u < L; ++u) {
+  for (std::size_t u = 0; u < test.length(); ++u) {
     // Record slots that still have unspecified state variables.
     std::uint64_t x_sv = 0;
-    for (std::size_t k = 0; k < c.num_dffs(); ++k) {
-      x_sv |= ~(state[k].ones | state[k].zeros);
-    }
+    for (const PVal& sv : state) x_sv |= ~(sv.ones | sv.zeros);
     for (unsigned s = 0; s < n_faults; ++s) {
       if (first_x_sv[s] < 0 && ((x_sv >> s) & 1)) {
         first_x_sv[s] = static_cast<int>(u);
       }
     }
 
-    // Drive primary inputs.
-    for (std::size_t k = 0; k < c.num_inputs(); ++k) {
-      const GateId pi = c.inputs()[k];
-      vals[pi] = pv_splat(test.at(u, k));
-      for (unsigned s : stem_faults[pi]) pv_set(vals[pi], s, faults[s].stuck);
-    }
-    for (std::size_t k = 0; k < c.num_dffs(); ++k) {
-      vals[c.dffs()[k]] = state[k];
-    }
-
-    // Bulk evaluation with per-slot fault patching. The levelized order
-    // leads with the constant gates (level 0), so one sweep over its flat
-    // arrays covers the whole combinational frame.
-    for (const GateId id : lv.order()) {
-      const GateId* fanins = lv.fanins(id);
-      vals[id] = pv_eval_gate_fn(
-          lv.type(id), lv.fanin_count(id),
-          [&](std::size_t k) -> const PVal& { return vals[fanins[k]]; });
-      scalar_fixup(id);
-    }
-
-    // Detection and output-pair tracking against the fault-free response.
-    std::uint64_t pair_mask = 0;
-    for (std::size_t o = 0; o < c.num_outputs(); ++o) {
-      const Val good = fault_free.outputs[u][o];
-      if (!is_specified(good)) continue;
-      const PVal& po = vals[c.outputs()[o]];
-      detected |= good == Val::One ? po.zeros : po.ones;
-      pair_mask |= ~(po.ones | po.zeros);
-    }
+    const GroupFrameResult frame =
+        kernel.step(sites, test.pattern(u).data(), fault_free.outputs[u].data(),
+                    state.data(), scratch.vals.data());
+    detected |= frame.detected;
     for (unsigned s = 0; s < n_faults; ++s) {
-      if ((pair_mask >> s) & 1) last_out_pair[s] = static_cast<int>(u);
+      if ((frame.x_outputs >> s) & 1) last_out_pair[s] = static_cast<int>(u);
     }
 
     // Drop-on-detect: once every fault in the group is detected the later
     // frames cannot change any outcome — detection is sticky and condition
     // (C) is only consulted for undetected faults.
-    const std::uint64_t group_mask = (1ull << n_faults) - 1;
-    if ((detected & group_mask) == group_mask) break;
-
-    // Latch next state with D-pin and Q-stem fault patching.
-    for (std::size_t k = 0; k < c.num_dffs(); ++k) {
-      const GateId q = c.dffs()[k];
-      PVal next = vals[c.dff_input(k)];
-      for (unsigned s : pin_faults[q]) pv_set(next, s, faults[s].stuck);
-      for (unsigned s : stem_faults[q]) pv_set(next, s, faults[s].stuck);
-      state[k] = next;
-    }
+    if (detected == sites.mask) break;
   }
 
   for (unsigned s = 0; s < n_faults; ++s) {
@@ -158,16 +64,15 @@ std::vector<ConvOutcome> ParallelFaultSimulator::run(
     const std::vector<Fault>& faults, std::size_t num_threads) const {
   assert(fault_free.length() == test.length());
   std::vector<ConvOutcome> outcomes(faults.size());
-  const std::size_t n_groups = (faults.size() + kGroup - 1) / kGroup;
+  const PackedGroupKernel kernel(*circuit_);
+  const std::size_t n_groups = (faults.size() + kFaultGroup - 1) / kFaultGroup;
   const std::size_t threads =
       std::min(std::max<std::size_t>(n_groups, 1), resolve_thread_count(num_threads));
   if (threads <= 1) {
     GroupScratch scratch;
-    scratch.stem_faults.resize(circuit_->num_gates());
-    scratch.pin_faults.resize(circuit_->num_gates());
-    for (std::size_t base = 0; base < faults.size(); base += kGroup) {
-      const std::size_t n = std::min(kGroup, faults.size() - base);
-      run_group(test, fault_free, faults.data() + base, n,
+    for (std::size_t base = 0; base < faults.size(); base += kFaultGroup) {
+      const std::size_t n = std::min(kFaultGroup, faults.size() - base);
+      run_group(kernel, test, fault_free, faults.data() + base, n,
                 outcomes.data() + base, scratch);
     }
     return outcomes;
@@ -175,18 +80,14 @@ std::vector<ConvOutcome> ParallelFaultSimulator::run(
   // Each lane owns one scratch; each group writes a disjoint outcome slice,
   // so the merge is the identity and the result is schedule-independent.
   std::vector<GroupScratch> scratch(threads);
-  for (GroupScratch& s : scratch) {
-    s.stem_faults.resize(circuit_->num_gates());
-    s.pin_faults.resize(circuit_->num_gates());
-  }
   ThreadPool pool(threads);
   pool.parallel_for_dynamic(
       n_groups, /*grain=*/1,
       [&](std::size_t gb, std::size_t ge, std::size_t lane) {
         for (std::size_t g = gb; g < ge; ++g) {
-          const std::size_t base = g * kGroup;
-          const std::size_t n = std::min(kGroup, faults.size() - base);
-          run_group(test, fault_free, faults.data() + base, n,
+          const std::size_t base = g * kFaultGroup;
+          const std::size_t n = std::min(kFaultGroup, faults.size() - base);
+          run_group(kernel, test, fault_free, faults.data() + base, n,
                     outcomes.data() + base, scratch[lane]);
         }
       });

@@ -2,9 +2,10 @@
 //
 // Packs up to 63 faulty machines (plus the fault-free machine in slot 63)
 // into the two-word PVal encoding and simulates them simultaneously, one
-// bitwise gate evaluation serving all slots. Per-slot fault effects are
-// patched in scalar form after each bulk gate evaluation — cheap because a
-// group contains at most 63 faults.
+// bitwise gate evaluation serving all slots, through the shared packed
+// group step (faultsim/group_kernel.hpp). On top of that step this pre-pass
+// keeps the condition-(C) bookkeeping and drops a group once all of its
+// faults are detected.
 //
 // Semantically identical to ConventionalFaultSimulator (asserted by the
 // integration tests); used as the fast pre-pass that classifies the whole
@@ -14,7 +15,7 @@
 #include <vector>
 
 #include "faultsim/conventional.hpp"
-#include "logic/pval.hpp"
+#include "faultsim/group_kernel.hpp"
 
 namespace motsim {
 
@@ -38,15 +39,14 @@ class ParallelFaultSimulator {
   /// Reusable per-run buffers (a fresh allocation per group dominated the
   /// profile on the largest circuits).
   struct GroupScratch {
-    std::vector<std::vector<unsigned>> stem_faults;  // per gate
-    std::vector<std::vector<unsigned>> pin_faults;   // per gate
-    std::vector<GateId> touched;                     // gates with entries
+    FaultGroupSites sites;
     std::vector<PVal> vals;
     std::vector<PVal> state;
   };
 
-  void run_group(const TestSequence& test, const SeqTrace& fault_free,
-                 const Fault* faults, std::size_t n_faults,
+  void run_group(const PackedGroupKernel& kernel, const TestSequence& test,
+                 const SeqTrace& fault_free, const Fault* faults,
+                 std::size_t n_faults,
                  ConvOutcome* outcomes, GroupScratch& scratch) const;
 
   const Circuit* circuit_;

@@ -7,22 +7,25 @@
 // on a fork, keep the winner, never resimulate the prefix.
 //
 // apply() is semantically equivalent to running ParallelFaultSimulator over
-// the concatenation of every segment applied so far (asserted by tests).
+// the concatenation of every segment applied so far (asserted by tests); both
+// advance their groups through the same packed step (faultsim/group_kernel).
+// The per-group fault sites never change, so every clone shares one copy and
+// a fork copies only the machine states.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "logic/pval.hpp"
-#include "sim/seq_sim.hpp"
+#include "faultsim/group_kernel.hpp"
 #include "sim/test_sequence.hpp"
 
 namespace motsim {
 
 class ParallelFaultSession {
  public:
-  /// The session keeps references to `circuit` and `faults`; both must
-  /// outlive it (clones included).
+  /// The session keeps a reference to `circuit`, which must outlive it
+  /// (clones included); `faults` is only read here.
   ParallelFaultSession(const Circuit& circuit, const std::vector<Fault>& faults);
 
   ParallelFaultSession(const ParallelFaultSession&) = default;
@@ -34,32 +37,28 @@ class ParallelFaultSession {
   /// Faults conventionally detected by everything applied so far.
   std::size_t detected_count() const { return detected_count_; }
   bool is_detected(std::size_t fault_index) const {
-    return detected_[fault_index] != 0;
+    return (detected_[fault_index / kFaultGroup] >>
+            (fault_index % kFaultGroup)) & 1;
   }
 
   /// Total number of patterns applied.
   std::size_t length() const { return length_; }
 
  private:
-  struct Group {
-    std::size_t first = 0;  ///< index of the group's first fault
-    std::size_t count = 0;
-    std::vector<PVal> state;  ///< per flip-flop
+  /// Immutable after construction and shared by every clone.
+  struct Groups {
+    explicit Groups(const Circuit& c) : kernel(c) {}
+    PackedGroupKernel kernel;
+    std::vector<FaultGroupSites> sites;
   };
 
-  void step_group(Group& group, const std::vector<Val>& pattern,
-                  const std::vector<Val>& good_outputs);
-
   const Circuit* circuit_;
-  const std::vector<Fault>* faults_;
-  std::vector<Group> groups_;
-  std::vector<Val> good_state_;    // fault-free machine state
-  std::vector<char> detected_;     // per fault
+  std::shared_ptr<const Groups> groups_;
+  std::vector<PVal> state_;              // num_dffs values per group
+  std::vector<std::uint64_t> detected_;  // slot mask per group
+  std::vector<Val> good_state_;          // fault-free machine state
   std::size_t detected_count_ = 0;
   std::size_t length_ = 0;
-  // Scratch (excluded from the logical state; re-created on demand).
-  std::vector<PVal> vals_;
-  std::vector<Val> good_vals_;
 };
 
 }  // namespace motsim

@@ -1,5 +1,8 @@
 #include "testgen/hitec_like.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "faultsim/session.hpp"
 #include "testgen/random_gen.hpp"
 
@@ -8,6 +11,12 @@ namespace motsim {
 HitecLikeResult generate_hitec_like(const Circuit& c,
                                     const std::vector<Fault>& faults,
                                     const HitecLikeParams& params) {
+  if (params.max_length == 0 || params.segment_length == 0 ||
+      params.candidates_per_round == 0) {
+    throw std::invalid_argument(
+        "generate_hitec_like: max_length, segment_length and "
+        "candidates_per_round must be positive");
+  }
   Rng rng(params.seed);
   TestSequence best(c.num_inputs(), 0);
   // Incremental session: candidate segments are evaluated on forks of the
@@ -46,7 +55,9 @@ HitecLikeResult generate_hitec_like(const Circuit& c,
   // Deterministic generators without progress still need a non-empty
   // sequence for the experiment to run.
   if (best.length() == 0) {
-    best = random_sequence(c.num_inputs(), params.segment_length, rng);
+    best = random_sequence(c.num_inputs(),
+                           std::min(params.segment_length, params.max_length),
+                           rng);
     ParallelFaultSession session(c, faults);
     session.apply(best);
     return HitecLikeResult{std::move(best), session.detected_count()};

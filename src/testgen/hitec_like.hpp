@@ -32,6 +32,9 @@ struct HitecLikeResult {
   std::size_t detected = 0;  ///< conventionally detected by the sequence
 };
 
+/// Throws std::invalid_argument when `max_length`, `segment_length` or
+/// `candidates_per_round` is 0: the result would break the generator's own
+/// contracts (a non-empty sequence no longer than `max_length`).
 HitecLikeResult generate_hitec_like(const Circuit& c,
                                     const std::vector<Fault>& faults,
                                     const HitecLikeParams& params);

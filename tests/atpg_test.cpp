@@ -3,11 +3,13 @@
 
 #include "circuits/embedded.hpp"
 #include "circuits/generator.hpp"
+#include "circuits/registry.hpp"
 #include "faultsim/parallel.hpp"
 #include "netlist/builder.hpp"
 #include "testgen/deterministic_atpg.hpp"
 #include "testgen/podem.hpp"
 #include "testgen/random_gen.hpp"
+#include "util/sha256.hpp"
 
 namespace motsim {
 namespace {
@@ -203,6 +205,18 @@ TEST(Atpg, StopsOnBudgetsAndIsDeterministic) {
   EXPECT_LE(a.sequence.length(), params.max_length);
   EXPECT_EQ(a.sequence.to_string(), b.sequence.to_string());
   EXPECT_EQ(a.detected, b.detected);
+}
+
+// Pins the generator's output on the s298 stand-in at the default budgets,
+// so a change to PODEM, the driver or the session kernel under it cannot
+// move a single generated pattern unnoticed.
+TEST(Atpg, PinnedOnS298) {
+  const Circuit c = circuits::build_benchmark("s298");
+  const AtpgResult r = generate_deterministic(c, collapsed_fault_list(c));
+  EXPECT_EQ(r.sequence.length(), 78u);
+  EXPECT_EQ(r.detected, 135u);
+  EXPECT_EQ(sha256_hex(r.sequence.to_string()),
+            "e423f386fe15b59c2ea7eda067814c8f71c36c9e31e257f33bfecd1d95704166");
 }
 
 }  // namespace

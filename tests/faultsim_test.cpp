@@ -2,11 +2,14 @@
 // equivalence of the 64-way parallel-fault accelerator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "circuits/embedded.hpp"
 #include "circuits/generator.hpp"
 #include "faultsim/parallel.hpp"
 #include "faultsim/session.hpp"
 #include "mot/oracle.hpp"
+#include "netlist/builder.hpp"
 #include "testgen/random_gen.hpp"
 
 namespace motsim {
@@ -160,6 +163,26 @@ TEST(ParallelEquivalence, HandlesMoreThanOneGroup) {
 
 // ----------------------------------------------- incremental session ----
 
+/// Session detections equal a one-shot ParallelFaultSimulator run over
+/// everything the session was given. The session and the pre-pass share
+/// one packed step, so the serial simulator is checked too: it alone would
+/// notice a fault site that step mishandles.
+void expect_matches_one_shot(const ParallelFaultSession& session,
+                             const Circuit& c, const std::vector<Fault>& faults,
+                             const TestSequence& applied) {
+  const SeqTrace good = SequentialSimulator(c).run_fault_free(applied);
+  const auto ref = ParallelFaultSimulator(c).run(applied, good, faults);
+  const auto serial = ConventionalFaultSimulator(c).run(applied, good, faults);
+  EXPECT_EQ(session.length(), applied.length());
+  std::size_t ref_detected = 0;
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    ref_detected += ref[k].detected;
+    EXPECT_EQ(session.is_detected(k), ref[k].detected) << fault_name(c, faults[k]);
+    EXPECT_EQ(serial[k].detected, ref[k].detected) << fault_name(c, faults[k]);
+  }
+  EXPECT_EQ(session.detected_count(), ref_detected);
+}
+
 class SessionEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SessionEquivalence, SegmentedApplyMatchesOneShotSimulation) {
@@ -176,11 +199,6 @@ TEST_P(SessionEquivalence, SegmentedApplyMatchesOneShotSimulation) {
   Rng rng(GetParam() * 5 + 2);
   const TestSequence full = random_sequence(4, 21, rng);
 
-  // Reference: one-shot parallel simulation.
-  const SequentialSimulator sim(c);
-  const SeqTrace good = sim.run_fault_free(full);
-  const auto ref = ParallelFaultSimulator(c).run(full, good, faults);
-
   // Session: apply in unequal segments (7 + 1 + 13).
   ParallelFaultSession session(c, faults);
   TestSequence seg1(4, 0), seg2(4, 0), seg3(4, 0);
@@ -191,17 +209,120 @@ TEST_P(SessionEquivalence, SegmentedApplyMatchesOneShotSimulation) {
   session.apply(seg1);
   session.apply(seg2);
   session.apply(seg3);
-  EXPECT_EQ(session.length(), full.length());
-  std::size_t ref_detected = 0;
-  for (std::size_t k = 0; k < faults.size(); ++k) {
-    ref_detected += ref[k].detected;
-    EXPECT_EQ(session.is_detected(k), ref[k].detected) << fault_name(c, faults[k]);
-  }
-  EXPECT_EQ(session.detected_count(), ref_detected);
+  expect_matches_one_shot(session, c, faults, full);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SessionEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+/// A random sequential circuit with both constants, primary inputs that
+/// fan out and drive an output, and two flip-flops sharing a D driver, so
+/// its uncollapsed fault list has every site the packed step patches:
+/// PI stems, constant-gate faults, gate pins, DFF Q stems and DFF D pins.
+Circuit session_circuit(std::uint64_t seed) {
+  Rng rng(seed);
+  CircuitBuilder b("sess_sites");
+  std::vector<GateId> pool;
+  for (int k = 0; k < 4; ++k) pool.push_back(b.add_input("i" + std::to_string(k)));
+  pool.push_back(b.add_gate(GateType::Const0, "c0", {}));
+  pool.push_back(b.add_gate(GateType::Const1, "c1", {}));
+  std::vector<GateId> q;
+  for (int k = 0; k < 5; ++k) {
+    q.push_back(b.declare("q" + std::to_string(k)));
+    pool.push_back(q.back());
+  }
+  const GateType kinds[] = {GateType::And, GateType::Nand, GateType::Or,
+                            GateType::Nor, GateType::Xor,  GateType::Xnor,
+                            GateType::Not, GateType::Buf};
+  for (int k = 0; k < 40; ++k) {
+    const GateType t = kinds[rng.next_below(8)];
+    const std::size_t n =
+        t == GateType::Not || t == GateType::Buf ? 1 : 2 + rng.next_below(2);
+    std::vector<GateId> fanins;
+    while (fanins.size() < n) {
+      const GateId f = pool[rng.next_below(pool.size())];
+      if (std::find(fanins.begin(), fanins.end(), f) == fanins.end()) {
+        fanins.push_back(f);
+      }
+    }
+    pool.push_back(b.add_gate(t, "g" + std::to_string(k), std::move(fanins)));
+  }
+  b.define(q[0], GateType::Dff, {pool.back()});
+  b.define(q[1], GateType::Dff, {pool.back()});
+  for (std::size_t k = 2; k < q.size(); ++k) {
+    b.define(q[k], GateType::Dff, {pool[pool.size() - 2 - rng.next_below(20)]});
+  }
+  b.mark_output(pool[pool.size() - 2]);
+  b.mark_output(pool[pool.size() - 3]);
+  b.mark_output(pool[0]);
+  return b.build_or_throw();
+}
+
+TEST_P(SessionEquivalence, ForkAfterFullyDetectedGroupsMatchesOneShot) {
+  const Circuit c = session_circuit(GetParam());
+  std::vector<Fault> faults = enumerate_faults(c);
+  const auto has = [&](auto pred) {
+    return std::any_of(faults.begin(), faults.end(), pred);
+  };
+  ASSERT_TRUE(has([&](const Fault& f) {
+    return c.gate(f.gate).type == GateType::Input;
+  }));
+  ASSERT_TRUE(has([&](const Fault& f) {
+    const GateType t = c.gate(f.gate).type;
+    return t == GateType::Const0 || t == GateType::Const1;
+  }));
+  ASSERT_TRUE(has([&](const Fault& f) {
+    return c.gate(f.gate).type == GateType::Dff && f.pin == kOutputPin;
+  }));
+  ASSERT_TRUE(has([&](const Fault& f) {
+    return c.gate(f.gate).type == GateType::Dff && f.pin != kOutputPin;
+  }));
+
+  Rng rng(GetParam() * 11 + 3);
+  const TestSequence prefix = random_sequence(4, 12, rng);
+  const TestSequence tail_a = random_sequence(4, 9, rng);
+  const TestSequence tail_b = random_sequence(4, 9, rng);
+
+  // The leading group holds only faults the prefix detects (repeated as
+  // needed; a fault list may list a fault twice), so after the prefix it is
+  // fully detected and the tails run past a skipped group. The whole
+  // universe follows, ending in a ragged group.
+  const SeqTrace prefix_good = SequentialSimulator(c).run_fault_free(prefix);
+  const auto by_prefix = ParallelFaultSimulator(c).run(prefix, prefix_good, faults);
+  std::vector<Fault> easy;
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    if (by_prefix[k].detected) easy.push_back(faults[k]);
+  }
+  ASSERT_FALSE(easy.empty());
+  std::vector<Fault> ordered;
+  for (std::size_t k = 0; k < kFaultGroup; ++k) ordered.push_back(easy[k % easy.size()]);
+  ordered.insert(ordered.end(), faults.begin(), faults.end());
+  faults = std::move(ordered);
+  if (faults.size() % kFaultGroup == 0) faults.pop_back();
+  ASSERT_GT(faults.size(), 2 * kFaultGroup);
+
+  ParallelFaultSession session(c, faults);
+  TestSequence head(4, 0), rest(4, 0);
+  for (std::size_t u = 0; u < prefix.length(); ++u) {
+    (u < 5 ? head : rest).append(prefix.pattern(u));
+  }
+  session.apply(head);
+  session.apply(rest);
+  expect_matches_one_shot(session, c, faults, prefix);
+  for (std::size_t k = 0; k < kFaultGroup; ++k) ASSERT_TRUE(session.is_detected(k));
+
+  // Fork, then advance parent and clone along different tails.
+  ParallelFaultSession fork = session;
+  session.apply(tail_a);
+  fork.apply(tail_b);
+  fork.apply(tail_a);
+  TestSequence seq_a = prefix, seq_b = prefix;
+  seq_a.append_all(tail_a);
+  seq_b.append_all(tail_b);
+  seq_b.append_all(tail_a);
+  expect_matches_one_shot(session, c, faults, seq_a);
+  expect_matches_one_shot(fork, c, faults, seq_b);
+}
 
 TEST(Session, CloneForksTheState) {
   const Circuit c = circuits::make_s27();

@@ -1,11 +1,15 @@
 // Tests for src/testgen: random sequences and the HITEC-like generator.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "circuits/embedded.hpp"
 #include "circuits/generator.hpp"
+#include "circuits/registry.hpp"
 #include "faultsim/parallel.hpp"
 #include "testgen/hitec_like.hpp"
 #include "testgen/random_gen.hpp"
+#include "util/sha256.hpp"
 
 namespace motsim {
 namespace {
@@ -92,6 +96,67 @@ TEST(HitecLike, DeterministicInSeed) {
   const HitecLikeResult b = generate_hitec_like(c, faults, params);
   EXPECT_EQ(a.sequence.to_string(), b.sequence.to_string());
   EXPECT_EQ(a.detected, b.detected);
+}
+
+// A zero budget, segment length or candidate count would return a sequence
+// that breaks the generator's own contracts (longer than max_length, or
+// empty), so each is rejected.
+TEST(HitecLike, RejectsZeroFields) {
+  const Circuit c = circuits::make_s27();
+  const auto faults = collapsed_fault_list(c);
+  struct Case {
+    const char* name;
+    std::size_t HitecLikeParams::*field;
+  };
+  for (const Case& k : {Case{"max_length", &HitecLikeParams::max_length},
+                        Case{"segment_length", &HitecLikeParams::segment_length},
+                        Case{"candidates_per_round",
+                             &HitecLikeParams::candidates_per_round}}) {
+    SCOPED_TRACE(k.name);
+    HitecLikeParams params;
+    params.*k.field = 0;
+    EXPECT_THROW(generate_hitec_like(c, faults, params), std::invalid_argument);
+  }
+}
+
+// Without a single round the fallback burst still respects max_length.
+TEST(HitecLike, FallbackBurstRespectsMaxLength) {
+  const Circuit c = circuits::make_s27();
+  const auto faults = collapsed_fault_list(c);
+  HitecLikeParams params;
+  params.max_length = 3;
+  params.patience = 0;
+  const HitecLikeResult r = generate_hitec_like(c, faults, params);
+  EXPECT_EQ(r.sequence.length(), 3u);
+}
+
+// The campaign benchmark's Section 4 inputs: 64-pattern sequences on the
+// am2910 stand-in for sequence seeds 7 and 1007. Pinned so that a change to
+// the generator or to the session kernel under it cannot move a single
+// generated pattern unnoticed.
+TEST(HitecLike, PinnedOnAm2910) {
+  const Circuit c = circuits::build_benchmark("am2910");
+  const auto faults = collapsed_fault_list(c);
+  struct Pin {
+    std::uint64_t seed;
+    std::size_t length;
+    std::size_t detected;
+    const char* sha256;
+  };
+  for (const Pin& pin : {Pin{7 * 131 + 17, 64, 1545,
+                             "ae72f371519bc75623e098cce5e818a0"
+                             "2530f0d4204526742810db7b753628d9"},
+                         Pin{1007 * 131 + 17, 64, 1772,
+                             "e5c4760019ddd3ff31ea93412038fcab"
+                             "6fd8fbd9fd565d883837906fd170ccbe"}}) {
+    HitecLikeParams params;
+    params.max_length = 64;
+    params.seed = pin.seed;
+    const HitecLikeResult r = generate_hitec_like(c, faults, params);
+    EXPECT_EQ(r.sequence.length(), pin.length) << "seed " << pin.seed;
+    EXPECT_EQ(r.detected, pin.detected) << "seed " << pin.seed;
+    EXPECT_EQ(sha256_hex(r.sequence.to_string()), pin.sha256) << "seed " << pin.seed;
+  }
 }
 
 }  // namespace
