@@ -10,7 +10,7 @@
 // Doubles as the thread-scaling benchmark: the pipeline runs once with
 // --threads 1 (the historical serial path) and once with all hardware
 // threads on the *same* generated sequence, asserts the detection counts
-// are identical, and records both rows in BENCH_hitec_s5378.json.
+// are identical.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -25,39 +25,6 @@ namespace {
 
 using namespace motsim;
 using namespace motsim::experiments;
-
-// `kernel` tags which per-fault simulation kernel produced the row (the
-// legacy event-driven engines vs the levelized SoA kernel with 64-way packed
-// expansion); `measures_scaling` marks the all-threads row; it is emitted
-// false on a single-core host, where that row degenerates to a second serial
-// run.
-void add_json_row(benchutil::JsonReport& report, const RunResult& r,
-                  const char* kernel, bool measures_scaling) {
-  const double fps =
-      r.seconds > 0.0 ? static_cast<double>(r.total_faults) / r.seconds : 0.0;
-  report.add_row()
-      .add("circuit", r.circuit)
-      .add("kernel", std::string(kernel))
-      .add("measures_scaling",
-           measures_scaling && benchutil::hardware_threads() > 1)
-      .add("stage", std::string("full_pipeline"))
-      .add("threads", static_cast<std::uint64_t>(r.threads))
-      .add("wall_seconds", r.seconds)
-      .add("seconds_prepass", r.seconds_prepass)
-      .add("seconds_mot", r.seconds_mot)
-      .add("faults_per_second", fps)
-      .add("total_faults", static_cast<std::uint64_t>(r.total_faults))
-      .add("mot_candidates", static_cast<std::uint64_t>(r.candidates))
-      .add("mot_processed", static_cast<std::uint64_t>(r.processed))
-      // The candidate cap in effect (0 = uncapped) — a truncated candidate
-      // list is visible in the report, never silent.
-      .add("mot_cap", static_cast<std::uint64_t>(r.mot_cap))
-      .add("mot_capped", r.capped)
-      .add("conv_detected", static_cast<std::uint64_t>(r.conv_detected))
-      .add("baseline_extra", static_cast<std::uint64_t>(r.baseline_extra))
-      .add("proposed_extra", static_cast<std::uint64_t>(r.proposed_extra))
-      .add("proposed_total", static_cast<std::uint64_t>(r.proposed_total()));
-}
 
 void reproduction() {
   benchutil::heading("Deterministic (HITEC-like) sequence on s5378");
@@ -104,8 +71,8 @@ void reproduction() {
                  "WARNING: this host reports a single hardware thread; the "
                  "\"parallel\" row below is a second serial measurement and "
                  "the 1-vs-N speedup is meaningless.\n"
-                 "WARNING: rerun scripts/bench.sh on a multi-core host to get "
-                 "a real thread-scaling row.\n");
+                 "WARNING: rerun on a multi-core host to get a real "
+                 "thread-scaling row.\n");
   }
   RunConfig par_config;
   par_config.mot.num_threads = 0;  // all hardware threads
@@ -121,12 +88,6 @@ void reproduction() {
               par.seconds > 0.0 ? r.run.seconds / par.seconds : 0.0);
   std::printf("detection counts identical across thread counts: %s\n",
               identical ? "yes" : "NO");
-
-  benchutil::JsonReport report("hitec_s5378");
-  add_json_row(report, legacy, "legacy", /*measures_scaling=*/false);
-  add_json_row(report, r.run, "soa_kernel", /*measures_scaling=*/false);
-  add_json_row(report, par, "soa_kernel", /*measures_scaling=*/true);
-  report.write();
 }
 
 void bm_hitec_generation_small(benchmark::State& state) {

@@ -47,23 +47,6 @@ void reproduction() {
               dominance ? "yes (matches the paper)" : "NO");
   std::printf("  circuits where proposed finds strictly more than [4]: %zu\n",
               proposed_wins);
-
-  benchutil::JsonReport report("table2");
-  for (const RunResult& r : rows) {
-    report.add_row()
-        .add("circuit", r.circuit)
-        .add("threads", static_cast<std::uint64_t>(r.threads))
-        .add("wall_seconds", r.seconds)
-        .add("faults_per_second",
-             r.seconds > 0.0
-                 ? static_cast<double>(r.total_faults) / r.seconds
-                 : 0.0)
-        .add("total_faults", static_cast<std::uint64_t>(r.total_faults))
-        .add("conv_detected", static_cast<std::uint64_t>(r.conv_detected))
-        .add("baseline_extra", static_cast<std::uint64_t>(r.baseline_extra))
-        .add("proposed_extra", static_cast<std::uint64_t>(r.proposed_extra));
-  }
-  report.write();
 }
 
 void bm_run_small_circuit(benchmark::State& state) {

@@ -26,11 +26,9 @@ void reproduction() {
   RunConfig config;
   std::vector<RunResult> rows;
   for (const auto& profile : circuits::benchmark_suite()) {
-    RunConfig c = config;
-    if (profile.heavy) c.max_mot_faults = 300;  // keep this binary snappy
     std::printf("running %-8s ...\n", profile.name.c_str());
     std::fflush(stdout);
-    rows.push_back(run_benchmark(profile, c));
+    rows.push_back(run_benchmark(profile, config));
   }
   std::printf("\n%s\n", render_table3(rows).c_str());
   std::printf("Reference: without backward implications every row would be "

@@ -29,6 +29,30 @@ void apply_caps(const circuits::BenchmarkProfile& profile, RunConfig& config) {
   }
 }
 
+// The campaign run_benchmark runs for `profile`: the generated circuit, its
+// seeded random sequence, and `config` with the heavy-profile and
+// per-circuit adjustments applied. run_benchmark_remote_worker rebuilds it
+// from the same code, so a worker's JournalMeta matches its coordinator's.
+struct BenchmarkCampaign {
+  Circuit circuit;
+  TestSequence test;
+};
+
+BenchmarkCampaign build_campaign(const circuits::BenchmarkProfile& profile,
+                                 RunConfig& config) {
+  BenchmarkCampaign campaign{circuits::generate(profile.params), {}};
+  Rng rng(config.test_seed * 1000003 + profile.params.seed);
+  campaign.test =
+      random_sequence(campaign.circuit.num_inputs(), profile.test_length, rng);
+  if (profile.heavy) {
+    // The procedure of [4] "could not be applied" to the large circuits
+    // (paper, Section 4) — report NA.
+    config.run_baseline = false;
+  }
+  apply_caps(profile, config);
+  return campaign;
+}
+
 }  // namespace
 
 void apply_profile_caps(const std::string& benchmark_name, RunConfig& config) {
@@ -170,16 +194,7 @@ RunResult run_circuit(const Circuit& c, const TestSequence& test,
 
 RunResult run_benchmark(const circuits::BenchmarkProfile& profile,
                         RunConfig config) {
-  const Circuit c = circuits::generate(profile.params);
-  Rng rng(config.test_seed * 1000003 + profile.params.seed);
-  const TestSequence test =
-      random_sequence(c.num_inputs(), profile.test_length, rng);
-  if (profile.heavy) {
-    // The procedure of [4] "could not be applied" to the large circuits
-    // (paper, Section 4) — report NA.
-    config.run_baseline = false;
-  }
-  apply_caps(profile, config);
+  const auto [c, test] = build_campaign(profile, config);
   return run_circuit(c, test, config);
 }
 
@@ -187,16 +202,7 @@ int run_benchmark_remote_worker(const circuits::BenchmarkProfile& profile,
                                 RunConfig config,
                                 const RemoteWorkerOptions& worker,
                                 RemoteWorkerReport* report) {
-  // Mirror run_benchmark exactly: the same circuit, the same seeded
-  // sequence, the same heavy-profile and per-circuit adjustments. Any
-  // divergence would change the JournalMeta and be rejected at handshake.
-  const Circuit c = circuits::generate(profile.params);
-  Rng rng(config.test_seed * 1000003 + profile.params.seed);
-  const TestSequence test =
-      random_sequence(c.num_inputs(), profile.test_length, rng);
-  if (profile.heavy) config.run_baseline = false;
-  apply_caps(profile, config);
-
+  const auto [c, test] = build_campaign(profile, config);
   const std::vector<Fault> faults = collapsed_fault_list(c);
   const SequentialSimulator sim(c, config.mot.kernel);
   const SeqTrace good = sim.run_fault_free(test, /*keep_lines=*/true);
