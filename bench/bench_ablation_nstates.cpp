@@ -4,22 +4,18 @@
 // claim — backward implications make fewer expansions necessary, so the
 // proposed procedure reaches its detections at smaller budgets — shows up
 // as the proposed column saturating earlier than the [4] column.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "experiments/experiments.hpp"
 #include "util/table.hpp"
 
-namespace {
-
 using namespace motsim;
 using namespace motsim::experiments;
 
 const std::size_t kBudgets[] = {2, 4, 8, 16, 32, 64, 128, 256};
 
-void reproduction() {
+int main() {
   benchutil::heading("Ablation B: N_STATES sweep ([4] vs proposed extras)");
   for (const char* name : {"s298", "s344", "s420"}) {
     const auto* profile = circuits::find_profile(name);
@@ -33,24 +29,3 @@ void reproduction() {
     std::printf("%s:\n%s\n", name, t.render().c_str());
   }
 }
-
-void bm_proposed_by_budget(benchmark::State& state) {
-  const auto* profile = circuits::find_profile("s298");
-  RunConfig rc;
-  rc.mot.n_states = static_cast<std::size_t>(state.range(0));
-  rc.run_baseline = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_benchmark(*profile, rc));
-  }
-}
-BENCHMARK(bm_proposed_by_budget)
-    ->Arg(4)
-    ->Arg(64)
-    ->Arg(256)
-    ->ArgName("N_STATES")
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
-
-}  // namespace
-
-MOTSIM_BENCH_MAIN(reproduction)

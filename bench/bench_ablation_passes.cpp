@@ -7,22 +7,18 @@
 //    passes ... may be required");
 //  * backward_depth > 1 crosses multiple time units (the multi-frame
 //    extension sketched at the end of the paper's Section 2).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "experiments/experiments.hpp"
 #include "util/table.hpp"
 
-namespace {
-
 using namespace motsim;
 using namespace motsim::experiments;
 
-const char* kCircuits[] = {"s208", "s298", "s344", "s420"};
+const char* const kCircuits[] = {"s208", "s298", "s344", "s420"};
 
-void reproduction() {
+int main() {
   benchutil::heading("Ablation A: implication passes and backward depth");
   struct Config {
     const char* label;
@@ -49,8 +45,6 @@ void reproduction() {
       const RunResult r = run_benchmark(*profile, rc);
       if (!conv_added) {
         // conv. is identical across configs; recorded once.
-        Table tmp({"x"});
-        (void)tmp;
         t.add(r.conv_detected);
         conv_added = true;
       }
@@ -60,24 +54,3 @@ void reproduction() {
   std::printf("%s\n(cells: extra detections beyond conventional)\n",
               t.render().c_str());
 }
-
-void bm_proposed_by_mode(benchmark::State& state) {
-  const ImplMode mode = state.range(0) == 0 ? ImplMode::TwoPass : ImplMode::Fixpoint;
-  const auto* profile = circuits::find_profile("s298");
-  RunConfig rc;
-  rc.mot.impl_mode = mode;
-  rc.run_baseline = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_benchmark(*profile, rc));
-  }
-}
-BENCHMARK(bm_proposed_by_mode)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("mode(0=two-pass,1=fixpoint)")
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
-}  // namespace
-
-MOTSIM_BENCH_MAIN(reproduction)

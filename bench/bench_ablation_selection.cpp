@@ -5,20 +5,16 @@
 //  * random    — uniformly random valid pair
 //  * no-phase1 — full criteria but one-sided conflict/detection pairs are
 //                NOT applied in place (measures what the free closures add)
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "experiments/experiments.hpp"
 #include "util/table.hpp"
 
-namespace {
-
 using namespace motsim;
 using namespace motsim::experiments;
 
-void reproduction() {
+int main() {
   benchutil::heading("Ablation C: pair selection policies (extra detections)");
   Table t({"circuit", "full (paper)", "time-only", "random", "no-phase1"});
   for (const char* name : {"s208", "s298", "s344", "s420"}) {
@@ -47,26 +43,3 @@ void reproduction() {
   }
   std::printf("%s\n", t.render().c_str());
 }
-
-void bm_selection_policy(benchmark::State& state) {
-  const SelectionPolicy policy = static_cast<SelectionPolicy>(state.range(0));
-  const auto* profile = circuits::find_profile("s344");
-  RunConfig rc;
-  rc.mot.selection = policy;
-  rc.mot.fallback_plain_expansion = false;
-  rc.run_baseline = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_benchmark(*profile, rc));
-  }
-}
-BENCHMARK(bm_selection_policy)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->ArgName("policy(0=full,1=time-only,2=random)")
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
-
-}  // namespace
-
-MOTSIM_BENCH_MAIN(reproduction)

@@ -10,8 +10,6 @@
 //   * the detections of the proposed procedure vs. the symbolic exact count
 //     where available,
 //   * wall-clock per fault for both.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 
@@ -22,11 +20,9 @@
 #include "testgen/random_gen.hpp"
 #include "util/table.hpp"
 
-namespace {
-
 using namespace motsim;
 
-void reproduction() {
+int main() {
   benchutil::heading("BDD-based [5] vs state expansion: applicability sweep");
   Table t({"FFs", "faults", "BDD ok", "BDD gave up", "BDD detected",
            "proposed detected", "BDD ms/fault", "proposed ms/fault"});
@@ -84,31 +80,3 @@ void reproduction() {
   std::printf("%s\n(faults column = sampled fault count; 'BDD gave up' = node"
               " budget of 50000 exceeded)\n", t.render().c_str());
 }
-
-void bm_symbolic_per_fault(benchmark::State& state) {
-  circuits::GeneratorParams p;
-  p.name = "bddtime";
-  p.seed = 5;
-  p.num_inputs = 4;
-  p.num_outputs = 3;
-  p.num_dffs = static_cast<std::size_t>(state.range(0));
-  p.num_comb_gates = p.num_dffs * 8;
-  p.uninit_fraction = 0.4;
-  const Circuit c = circuits::generate(p);
-  Rng rng(3);
-  const TestSequence test = random_sequence(c.num_inputs(), 16, rng);
-  const SeqTrace good = SequentialSimulator(c).run_fault_free(test);
-  const auto faults = collapsed_fault_list(c);
-  std::size_t k = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        symbolic_mot_detect(c, test, good, faults[k % faults.size()]));
-    ++k;
-  }
-}
-BENCHMARK(bm_symbolic_per_fault)->Arg(6)->Arg(12)->Arg(24)->ArgName("FFs")
-    ->Unit(benchmark::kMillisecond);
-
-}  // namespace
-
-MOTSIM_BENCH_MAIN(reproduction)

@@ -1,13 +1,9 @@
-// Shared plumbing for the experiment benchmarks: every binary first prints
-// its paper-reproduction output (tables/figures), then runs its
-// google-benchmark timings. Invoke with --skip-repro to time only.
+// Shared helpers for the paper-reproduction binaries: each prints its
+// tables/figures and shape checks to stdout and writes no files.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <thread>
 
 namespace motsim::benchutil {
@@ -27,23 +23,4 @@ inline void heading(const char* title) {
   std::printf("==============================================================\n");
 }
 
-/// Standard main body: reproduction first (unless --skip-repro), then the
-/// registered benchmarks.
-inline int run(int argc, char** argv, void (*reproduction)()) {
-  bool skip = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--skip-repro") == 0) skip = true;
-  }
-  if (!skip) reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
-
 }  // namespace motsim::benchutil
-
-#define MOTSIM_BENCH_MAIN(reproduction_fn)                       \
-  int main(int argc, char** argv) {                              \
-    return motsim::benchutil::run(argc, argv, reproduction_fn);  \
-  }

@@ -1,12 +1,10 @@
-// Reproduces the paper's Figures 1-3 on ISCAS-89 s27 and times the frame
-// implication engine that powers them.
+// Reproduces the paper's Figures 1-3 on ISCAS-89 s27 with the frame
+// implication engine.
 //
 //  Figure 1: conventional simulation, all next-state/output values X.
 //  Figure 2: state expansion at time 0 — 3/0/5 specified values for
 //            G5/G6/G7 (the paper expands "state variable 7").
 //  Figure 3: backward implication of G6 at time 1 — 7 specified values.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -14,9 +12,9 @@
 #include "mot/implicator.hpp"
 #include "sim/seq_sim.hpp"
 
-namespace {
-
 using namespace motsim;
+
+namespace {
 
 FrameVals s27_frame(const Circuit& c) {
   FrameVals vals(c.num_gates(), Val::X);
@@ -36,7 +34,9 @@ std::size_t count_specified(const Circuit& c, const FrameVals& vals) {
   return n;
 }
 
-void reproduction() {
+}  // namespace
+
+int main() {
   benchutil::heading(
       "Figures 1-3: s27 under pattern 1011 (paper's '(1001)' in its own "
       "input ordering)");
@@ -74,35 +74,3 @@ void reproduction() {
   std::printf("Figure 3 (backward implication of G6@1): %zu specified values "
               "at time 0 (paper: 7)\n", total);
 }
-
-void bm_frame_eval(benchmark::State& state) {
-  const Circuit c = circuits::make_s27();
-  const FaultView fv(c);
-  FrameVals vals(c.num_gates(), Val::X);
-  const Val pattern[] = {Val::One, Val::Zero, Val::One, Val::One};
-  const SequentialSimulator sim(c);
-  for (auto _ : state) {
-    for (std::size_t k = 0; k < 4; ++k) vals[c.inputs()[k]] = pattern[k];
-    sim.eval_frame(vals, fv);
-    benchmark::DoNotOptimize(vals.data());
-  }
-}
-BENCHMARK(bm_frame_eval);
-
-void bm_implication(benchmark::State& state) {
-  const ImplMode mode = state.range(0) == 0 ? ImplMode::TwoPass : ImplMode::Fixpoint;
-  const Circuit c = circuits::make_s27();
-  const FaultView fv(c);
-  FrameVals base = s27_frame(c);
-  FrameImplicator impl(c);
-  const std::pair<GateId, Val> seed{c.dff_input(1), Val::One};
-  for (auto _ : state) {
-    impl.run(base, fv, {}, {&seed, 1}, mode);
-    impl.undo(base);
-  }
-}
-BENCHMARK(bm_implication)->Arg(0)->Arg(1)->ArgName("mode(0=two-pass,1=fixpoint)");
-
-}  // namespace
-
-MOTSIM_BENCH_MAIN(reproduction)

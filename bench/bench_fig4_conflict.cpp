@@ -1,7 +1,5 @@
 // Reproduces the paper's Figure 4 — a backward implication that uncovers a
-// conflict, halving the states to consider — and times conflict probing.
-#include <benchmark/benchmark.h>
-
+// conflict, halving the states to consider.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -9,9 +7,9 @@
 #include "mot/implicator.hpp"
 #include "sim/seq_sim.hpp"
 
-namespace {
-
 using namespace motsim;
+
+namespace {
 
 FrameVals fig4_frame(const Circuit& c) {
   FrameVals vals(c.num_gates(), Val::X);
@@ -20,7 +18,9 @@ FrameVals fig4_frame(const Circuit& c) {
   return vals;
 }
 
-void reproduction() {
+}  // namespace
+
+int main() {
   benchutil::heading("Figure 4: conflict found by backward implication");
   const Circuit c = circuits::make_fig4_conflict();
   const FaultView fv(c);
@@ -43,33 +43,3 @@ void reproduction() {
   std::printf("=> the present-state variable can only be 0 at time 1: one "
               "state sequence survives instead of two.\n");
 }
-
-void bm_conflict_probe(benchmark::State& state) {
-  const Circuit c = circuits::make_fig4_conflict();
-  const FaultView fv(c);
-  FrameVals base = fig4_frame(c);
-  FrameImplicator impl(c);
-  const std::pair<GateId, Val> seed{c.find("L11"), Val::One};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(impl.run(base, fv, {}, {&seed, 1}, ImplMode::Fixpoint));
-    impl.undo(base);
-  }
-}
-BENCHMARK(bm_conflict_probe);
-
-void bm_consistent_probe(benchmark::State& state) {
-  const Circuit c = circuits::make_fig4_conflict();
-  const FaultView fv(c);
-  FrameVals base = fig4_frame(c);
-  FrameImplicator impl(c);
-  const std::pair<GateId, Val> seed{c.find("L11"), Val::Zero};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(impl.run(base, fv, {}, {&seed, 1}, ImplMode::Fixpoint));
-    impl.undo(base);
-  }
-}
-BENCHMARK(bm_consistent_probe);
-
-}  // namespace
-
-MOTSIM_BENCH_MAIN(reproduction)

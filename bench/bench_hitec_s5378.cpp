@@ -11,22 +11,16 @@
 // --threads 1 (the historical serial path) and once with all hardware
 // threads on the *same* generated sequence, asserts the detection counts
 // are identical.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "experiments/experiments.hpp"
 #include "experiments/report.hpp"
-#include "testgen/hitec_like.hpp"
-#include "util/thread_pool.hpp"
-
-namespace {
 
 using namespace motsim;
 using namespace motsim::experiments;
 
-void reproduction() {
+int main() {
   benchutil::heading("Deterministic (HITEC-like) sequence on s5378");
   RunConfig config;
   config.mot.num_threads = 1;  // reference row: the serial path
@@ -40,27 +34,6 @@ void reproduction() {
               r.run.proposed_extra >= r.run.baseline_extra ? "yes" : "NO");
 
   const Circuit c = circuits::build_benchmark("s5378");
-
-  // Legacy-kernel row: the same circuit and sequence through the
-  // event-driven per-fault engines. This is the before-side of the SoA
-  // kernel speedup, re-measured on this host and build — and a full-scale
-  // kernel-equivalence check: every detection count must be identical.
-  benchutil::heading("Legacy kernel (same sequence, event-driven engines)");
-  RunConfig legacy_config;
-  legacy_config.mot.num_threads = 1;
-  legacy_config.mot.kernel = KernelKind::Legacy;
-  apply_profile_caps("s5378", legacy_config);
-  const RunResult legacy = run_circuit(c, r.sequence, legacy_config);
-  const bool legacy_identical =
-      legacy.conv_detected == r.run.conv_detected &&
-      legacy.proposed_extra == r.run.proposed_extra &&
-      legacy.baseline_extra == r.run.baseline_extra &&
-      legacy.baseline_only == r.run.baseline_only;
-  std::printf("legacy %.2fs -> soa %.2fs (speedup %.2fx)\n", legacy.seconds,
-              r.run.seconds,
-              r.run.seconds > 0.0 ? legacy.seconds / r.run.seconds : 0.0);
-  std::printf("detection counts identical across kernels: %s\n",
-              legacy_identical ? "yes" : "NO");
 
   // Scaling row: the same circuit and sequence through the sharded MOT
   // dispatch on every hardware thread. Detection counts must not move.
@@ -89,21 +62,3 @@ void reproduction() {
   std::printf("detection counts identical across thread counts: %s\n",
               identical ? "yes" : "NO");
 }
-
-void bm_hitec_generation_small(benchmark::State& state) {
-  const Circuit c = circuits::build_benchmark("s298");
-  const auto faults = collapsed_fault_list(c);
-  HitecLikeParams params;
-  params.max_length = 64;
-  params.segment_length = 8;
-  params.candidates_per_round = 4;
-  for (auto _ : state) {
-    params.seed += 1;  // vary so iterations are not trivially cached
-    benchmark::DoNotOptimize(generate_hitec_like(c, faults, params));
-  }
-}
-BENCHMARK(bm_hitec_generation_small)->Unit(benchmark::kMillisecond)->Iterations(3);
-
-}  // namespace
-
-MOTSIM_BENCH_MAIN(reproduction)

@@ -1,23 +1,19 @@
 // Reproduces the paper's Table 1 — the worked example where conventional
 // simulation cannot identify a detected fault and one state expansion can —
-// on the embedded 2-FF/3-PO illustration machine, and times the full
-// proposed procedure on that fault.
-#include <benchmark/benchmark.h>
-
+// on the embedded 2-FF/3-PO illustration machine.
 #include <cstdio>
 #include <optional>
 
 #include "bench_common.hpp"
 #include "circuits/embedded.hpp"
-#include "mot/baseline.hpp"
 #include "mot/collector.hpp"
 #include "mot/proposed.hpp"
 #include "mot/state_set.hpp"
 #include "testgen/random_gen.hpp"
 
-namespace {
-
 using namespace motsim;
+
+namespace {
 
 struct Workload {
   Circuit c = circuits::make_table1_example();
@@ -53,13 +49,15 @@ void print_rows(const char* label, const std::vector<std::vector<Val>>& rows,
   std::printf("\n");
 }
 
-void reproduction() {
+}  // namespace
+
+int main() {
   benchutil::heading("Table 1: state expansion on a fault conventional "
                      "simulation cannot identify");
   const auto w = find_workload();
   if (!w) {
     std::printf("no suitable fault found (unexpected)\n");
-    return;
+    return 1;
   }
   const std::size_t L = w->test.length();
   std::printf("circuit: %s, fault: %s, test length %zu\n\n",
@@ -109,33 +107,3 @@ void reproduction() {
               r.detected ? "DETECTED under restricted MOT" : "not detected",
               r.expansions, r.final_sequences);
 }
-
-void bm_proposed_on_table1_fault(benchmark::State& state) {
-  const auto w = find_workload();
-  if (!w) {
-    state.SkipWithError("no workload");
-    return;
-  }
-  MotFaultSimulator proposed(w->c);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(proposed.simulate_fault(w->test, w->good, w->fault));
-  }
-}
-BENCHMARK(bm_proposed_on_table1_fault);
-
-void bm_baseline_on_table1_fault(benchmark::State& state) {
-  const auto w = find_workload();
-  if (!w) {
-    state.SkipWithError("no workload");
-    return;
-  }
-  ExpansionBaseline baseline(w->c);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(baseline.simulate_fault(w->test, w->good, w->fault));
-  }
-}
-BENCHMARK(bm_baseline_on_table1_fault);
-
-}  // namespace
-
-MOTSIM_BENCH_MAIN(reproduction)

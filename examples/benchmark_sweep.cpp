@@ -42,7 +42,7 @@
 //                            one circuit and the same experiment flags as
 //                            the coordinator — the handshake enforces it)
 //   --connect-attempts N     consecutive failed connects before the worker
-//                            gives up (default 10)
+//                            gives up, >= 1 (default 10)
 //
 // Signals: the first SIGINT/SIGTERM requests a clean stop — in-flight faults
 // finish, the journal is flushed, and the exit is resumable. A second signal
@@ -155,9 +155,13 @@ int main(int argc, char** argv) {
   const std::string connect_flag = args.get("connect", "");
   config.supervisor.remote_join_ms = args.get_uint("remote-join-ms", 30000);
   config.supervisor.remote_rejoin_ms = args.get_uint("remote-rejoin-ms", 10000);
-  const std::int64_t connect_attempts = args.get_int("connect-attempts", 10);
+  const std::uint64_t connect_attempts = args.get_uint("connect-attempts", 10);
   if (!args.ok()) {
     std::fprintf(stderr, "error: %s\n", args.error().c_str());
+    return 1;
+  }
+  if (connect_attempts == 0) {
+    std::fprintf(stderr, "error: --connect-attempts: must be at least 1\n");
     return 1;
   }
   if (!listen_flag.empty() && !connect_flag.empty()) {
@@ -233,8 +237,7 @@ int main(int argc, char** argv) {
     RemoteWorkerOptions worker;
     worker.host = host;
     worker.port = port;
-    worker.max_connect_attempts =
-        connect_attempts > 0 ? static_cast<std::size_t>(connect_attempts) : 1;
+    worker.max_connect_attempts = static_cast<std::size_t>(connect_attempts);
     worker.chaos_kill_permille = config.supervisor.chaos_kill_permille;
     worker.chaos_kill_seed = config.supervisor.chaos_kill_seed;
     worker.chaos_abort_fault = config.supervisor.chaos_abort_fault;

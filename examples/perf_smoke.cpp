@@ -11,9 +11,16 @@
 // full-pipeline equivalence check riding along with the timing.
 //
 // Usage: perf_smoke [min_ratio] [mot_cap]
+//   min_ratio  floor on the legacy/soa mot-stage ratio, > 0 (default 1.3)
+//   mot_cap    MOT candidates in the slice, >= 0; 0 = the profile's cap
+//              (default 25)
+// An argument that is not wholly such a number is a setup error: a typo
+// must not run the slice with the gate disabled.
 // Exit codes: 0 ok, 1 regression or kernel mismatch, 2 setup error.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 
 #include "experiments/experiments.hpp"
 
@@ -30,12 +37,41 @@ void print_row(const char* kernel, const RunResult& r) {
       r.conv_detected, r.proposed_extra, r.baseline_extra);
 }
 
+/// Parses the whole of `text` as a decimal number; a sign the type cannot
+/// hold, trailing characters or an empty string leave `out` untouched and
+/// return false.
+template <typename T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ptr == text || ec != std::errc() || ptr != end) return false;
+  out = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double min_ratio = argc > 1 ? std::strtod(argv[1], nullptr) : 1.3;
-  const std::size_t mot_cap =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 25;
+  double min_ratio = 1.3;
+  std::size_t mot_cap = 25;
+  if (argc > 3) {
+    std::fprintf(stderr, "usage: perf_smoke [min_ratio] [mot_cap]\n");
+    return 2;
+  }
+  if (argc > 1 && (!parse_number(argv[1], min_ratio) ||
+                   !std::isfinite(min_ratio) || min_ratio <= 0.0)) {
+    std::fprintf(stderr,
+                 "error: min_ratio: expected a finite number > 0, got '%s'\n",
+                 argv[1]);
+    return 2;
+  }
+  if (argc > 2 && !parse_number(argv[2], mot_cap)) {
+    std::fprintf(stderr,
+                 "error: mot_cap: expected a non-negative integer, got '%s'\n",
+                 argv[2]);
+    return 2;
+  }
 
   const auto* profile = circuits::find_profile("s5378");
   if (profile == nullptr) {

@@ -146,6 +146,14 @@ check "--connect needs exactly one circuit" 1 $?
 "$BIN" --connect 127.0.0.1:1 --circuits s298 \
   --journal "$TMP/w.journal" > /dev/null 2>&1
 check "--connect with --journal is a usage error" 1 $?
+# The connect budget parses strictly too: zero or a negative count is a
+# usage error, never a silent clamp to one attempt.
+"$BIN" --connect 127.0.0.1:1 --circuits s298 --connect-attempts 0 \
+  > /dev/null 2>&1
+check "--connect-attempts 0 is a usage error" 1 $?
+"$BIN" --connect 127.0.0.1:1 --circuits s298 --connect-attempts -4 \
+  > /dev/null 2>&1
+check "--connect-attempts -4 is a usage error" 1 $?
 
 # 6 — a worker that can never reach its coordinator exhausts its connect
 # budget with the transport-failure code (port 1 is reserved: refused).
