@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   Rng rng(seed);
   const TestSequence random = random_sequence(c.num_inputs(),
                                               atpg.sequence.length(), rng);
-  const SeqTrace rgood = SequentialSimulator(c).run_fault_free(random);
+  const SeqTrace rgood = SequentialSimulator(c).run_fault_free(random, /*keep_lines=*/true);
   const auto routcomes = ParallelFaultSimulator(c).run(random, rgood, faults);
   std::size_t random_detected = 0;
   for (const auto& o : routcomes) random_detected += o.detected;

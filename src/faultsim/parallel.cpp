@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "util/thread_pool.hpp"
 
@@ -18,7 +19,6 @@ void ParallelFaultSimulator::run_group(const PackedGroupKernel& kernel,
   const FaultGroupSites& sites = scratch.sites;
   std::vector<PVal>& state = scratch.state;
   state.resize(c.num_dffs());
-  scratch.vals.resize(c.num_gates());
   kernel.reset_state(sites, state.data());
 
   std::uint64_t detected = 0;
@@ -37,17 +37,18 @@ void ParallelFaultSimulator::run_group(const PackedGroupKernel& kernel,
       }
     }
 
-    const GroupFrameResult frame =
-        kernel.step(sites, test.pattern(u).data(), fault_free.outputs[u].data(),
-                    state.data(), scratch.vals.data());
+    // Detected slots are reset to the fault-free machine inside the step:
+    // detection is sticky and condition (C) is only consulted for
+    // undetected faults, so their later frames cannot change any outcome.
+    const GroupFrameResult frame = kernel.step_events(
+        sites, sites.mask & ~detected, fault_free.lines[u].data(),
+        fault_free.outputs[u].data(), state.data(), scratch.events);
     detected |= frame.detected;
     for (unsigned s = 0; s < n_faults; ++s) {
       if ((frame.x_outputs >> s) & 1) last_out_pair[s] = static_cast<int>(u);
     }
 
-    // Drop-on-detect: once every fault in the group is detected the later
-    // frames cannot change any outcome — detection is sticky and condition
-    // (C) is only consulted for undetected faults.
+    // Drop the group once every fault in it is detected.
     if (detected == sites.mask) break;
   }
 
@@ -63,6 +64,11 @@ std::vector<ConvOutcome> ParallelFaultSimulator::run(
     const TestSequence& test, const SeqTrace& fault_free,
     const std::vector<Fault>& faults, std::size_t num_threads) const {
   assert(fault_free.length() == test.length());
+  if (fault_free.lines.size() != test.length()) {
+    throw std::invalid_argument(
+        "ParallelFaultSimulator::run: the fault-free trace has no line values "
+        "(simulate it with keep_lines)");
+  }
   std::vector<ConvOutcome> outcomes(faults.size());
   const PackedGroupKernel kernel(*circuit_);
   const std::size_t n_groups = (faults.size() + kFaultGroup - 1) / kFaultGroup;

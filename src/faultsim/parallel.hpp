@@ -2,14 +2,18 @@
 //
 // Packs up to 63 faulty machines (plus the fault-free machine in slot 63)
 // into the two-word PVal encoding and simulates them simultaneously, one
-// bitwise gate evaluation serving all slots, through the shared packed
-// group step (faultsim/group_kernel.hpp). On top of that step this pre-pass
-// keeps the condition-(C) bookkeeping and drops a group once all of its
-// faults are detected.
+// bitwise gate evaluation serving all slots, through the packed group
+// kernel's event-driven sweep (faultsim/group_kernel.hpp): per frame only
+// the gates that carry a live fault or read a line differing from the
+// fault-free machine are evaluated, against the fault-free line values of
+// the trace. On top of that step this pre-pass keeps the condition-(C)
+// bookkeeping, drops each detected fault inside its group, and drops a
+// group once all of its faults are detected.
 //
 // Semantically identical to ConventionalFaultSimulator (asserted by the
-// integration tests); used as the fast pre-pass that classifies the whole
-// fault universe before the per-fault MOT procedures run.
+// integration tests and the verify harness); used as the fast pre-pass
+// that classifies the whole fault universe before the per-fault MOT
+// procedures run.
 #pragma once
 
 #include <vector>
@@ -24,6 +28,9 @@ class ParallelFaultSimulator {
   explicit ParallelFaultSimulator(const Circuit& c) : circuit_(&c) {}
 
   /// Detection + condition-(C) classification for every fault.
+  ///
+  /// `fault_free` must carry line values (simulated with keep_lines);
+  /// throws std::invalid_argument if it does not.
   ///
   /// `num_threads` spreads the 63-fault PVal groups over a thread pool with
   /// one GroupScratch per worker (0 = all hardware threads, 1 = serial).
@@ -40,8 +47,8 @@ class ParallelFaultSimulator {
   /// profile on the largest circuits).
   struct GroupScratch {
     FaultGroupSites sites;
-    std::vector<PVal> vals;
     std::vector<PVal> state;
+    EventScratch events;
   };
 
   void run_group(const PackedGroupKernel& kernel, const TestSequence& test,

@@ -15,6 +15,7 @@
 #include "faultsim/batch.hpp"
 #include "faultsim/checkpoint.hpp"
 #include "faultsim/full_faultsim.hpp"
+#include "faultsim/parallel.hpp"
 #include "faultsim/remote.hpp"
 #include "faultsim/supervisor.hpp"
 #include "mot/oracle.hpp"
@@ -48,6 +49,7 @@ std::string_view check_name(CheckId c) {
     case CheckId::FaultedResume: return "faulted-resume";
     case CheckId::WorkerKill: return "worker-kill";
     case CheckId::RemoteWorkerKill: return "remote-worker-kill";
+    case CheckId::PrepassMatchesSerial: return "prepass-matches-serial";
     case CheckId::IscasConformance: return "iscas-conformance";
     case CheckId::All: return "all";
   }
@@ -736,6 +738,34 @@ void check_remote_worker_kill(const Circuit& c, const TestSequence& test,
   }
 }
 
+/// The pre-pass reads the fault-free line values; the serial reference
+/// simulates each faulty machine in full (`good` may carry no lines).
+void check_prepass(const Circuit& c, const TestSequence& test,
+                   const SeqTrace& good, const std::vector<Fault>& faults,
+                   std::vector<Violation>& out) {
+  SeqTrace plain = good;
+  plain.lines.clear();
+  const std::vector<ConvOutcome> serial =
+      ConventionalFaultSimulator(c).run(test, plain, faults);
+  const SeqTrace lined =
+      SequentialSimulator(c).run_fault_free(test, /*keep_lines=*/true);
+  const std::vector<ConvOutcome> packed =
+      ParallelFaultSimulator(c).run(test, lined, faults);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (serial[i].detected == packed[i].detected &&
+        serial[i].passes_c == packed[i].passes_c) {
+      continue;
+    }
+    add(out, CheckId::PrepassMatchesSerial, faults[i],
+        str_format("%s: pre-pass detected=%d passes_c=%d, serial "
+                   "detected=%d passes_c=%d",
+                   describe(c, faults[i]).c_str(), int(packed[i].detected),
+                   int(packed[i].passes_c), int(serial[i].detected),
+                   int(serial[i].passes_c)));
+    return;  // first divergence is the actionable one
+  }
+}
+
 }  // namespace
 
 std::vector<Violation> check_fault(const Circuit& c, const TestSequence& test,
@@ -769,6 +799,9 @@ std::vector<Violation> check_batch(const Circuit& c, const TestSequence& test,
   }
   if (enabled(opts, CheckId::RemoteWorkerKill)) {
     check_remote_worker_kill(c, test, good, faults, opts, out);
+  }
+  if (enabled(opts, CheckId::PrepassMatchesSerial)) {
+    check_prepass(c, test, good, faults, out);
   }
   return out;
 }

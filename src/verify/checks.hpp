@@ -28,7 +28,9 @@
 //   fault resume  a campaign stopped by injected journal I/O faults or an
 //                 emulated signal resumes bit-identically to the clean run;
 //   worker kill   the multi-process supervisor run under a seeded SIGKILL
-//                 chaos schedule merges to exactly the in-process result.
+//                 chaos schedule merges to exactly the in-process result;
+//   pre-pass      the 64-way event-driven pre-pass classifies every fault
+//                 exactly like the serial conventional simulator.
 //
 // An engine verdict of Unresolved (budget/abort) excuses a subsumption or
 // monotonicity obligation — an engine that gave up is not an engine that
@@ -78,6 +80,10 @@ enum class CheckId : std::uint8_t {
   /// serial in-process run — dropped links, replayed records and slot
   /// rejoins included.
   RemoteWorkerKill,
+  /// The 64-way event-driven pre-pass (ParallelFaultSimulator) classifies
+  /// every fault exactly like the serial conventional simulator: equal
+  /// `detected` and condition-(C) `passes_c`, fault for fault.
+  PrepassMatchesSerial,
   /// ISCAS-85 conformance: the combinational full-fault-simulation driver
   /// reproduces the committed SHA-pinned third-party-format goldens
   /// (tests/testcases/<ckt>.{v,in,ans,ans.sha}) byte-identically, under
@@ -128,8 +134,8 @@ std::vector<Violation> check_fault(const Circuit& c, const TestSequence& test,
                                    const SeqTrace& good, const Fault& f,
                                    const VerifyOptions& opts);
 
-/// Batch-level checks over a fault list: thread-count invariance and
-/// checkpoint-resume equivalence.
+/// Batch-level checks over a fault list: thread-count invariance,
+/// checkpoint-resume equivalence, the worker checks and the pre-pass.
 std::vector<Violation> check_batch(const Circuit& c, const TestSequence& test,
                                    const SeqTrace& good,
                                    const std::vector<Fault>& faults,

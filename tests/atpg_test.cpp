@@ -153,7 +153,7 @@ TEST_P(AtpgProperty, CoverageAtLeastRandomOfSameLength) {
   RecordProperty("targeted", static_cast<int>(atpg.targeted_patterns));
 
   // Verify the reported coverage against an independent simulation.
-  const SeqTrace good = SequentialSimulator(c).run_fault_free(atpg.sequence);
+  const SeqTrace good = SequentialSimulator(c).run_fault_free(atpg.sequence, /*keep_lines=*/true);
   const auto outcomes = ParallelFaultSimulator(c).run(atpg.sequence, good, faults);
   std::size_t recount = 0;
   for (const auto& o : outcomes) recount += o.detected;
@@ -163,7 +163,7 @@ TEST_P(AtpgProperty, CoverageAtLeastRandomOfSameLength) {
   Rng rng(params.seed);
   const TestSequence random = random_sequence(c.num_inputs(),
                                               atpg.sequence.length(), rng);
-  const SeqTrace rgood = SequentialSimulator(c).run_fault_free(random);
+  const SeqTrace rgood = SequentialSimulator(c).run_fault_free(random, /*keep_lines=*/true);
   const auto routcomes = ParallelFaultSimulator(c).run(random, rgood, faults);
   std::size_t random_detected = 0;
   for (const auto& o : routcomes) random_detected += o.detected;

@@ -3,6 +3,7 @@
 // thread-count invariance of the parallel conventional pre-pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -29,7 +30,7 @@ Pipeline prepare(Circuit c, std::size_t length, std::uint64_t seed) {
   Rng rng(seed);
   TestSequence test = random_sequence(c.num_inputs(), length, rng);
   const SequentialSimulator sim(c);
-  SeqTrace good = sim.run_fault_free(test);
+  SeqTrace good = sim.run_fault_free(test, /*keep_lines=*/true);
   std::vector<Fault> faults = collapsed_fault_list(c);
   const ParallelFaultSimulator pfs(c);
   const std::vector<ConvOutcome> conv = pfs.run(test, good, faults);
@@ -199,14 +200,21 @@ TEST(MotBatchRunner, CampaignDeadlineStopsCleanlyWithoutLosingOutcomes) {
 }
 
 TEST(ParallelFaultSimulator, ThreadCountDoesNotChangeOutcomes) {
-  const Circuit c = circuits::build_benchmark("s27");
+  // Ten 63-fault groups, so every lane count above one starts the pool and
+  // lanes reuse their scratch across groups concurrently.
+  const Circuit c = circuits::build_benchmark("s298");
   Rng rng(17);
-  const TestSequence test = random_sequence(c.num_inputs(), 32, rng);
+  const TestSequence test = random_sequence(c.num_inputs(), 120, rng);
   const SequentialSimulator sim(c);
-  const SeqTrace good = sim.run_fault_free(test);
+  const SeqTrace good = sim.run_fault_free(test, /*keep_lines=*/true);
   const std::vector<Fault> faults = collapsed_fault_list(c);
+  ASSERT_GT(faults.size(), 8 * kFaultGroup);
   const ParallelFaultSimulator pfs(c);
   const std::vector<ConvOutcome> serial = pfs.run(test, good, faults, 1);
+  const auto detected = std::count_if(serial.begin(), serial.end(),
+                                      [](const ConvOutcome& o) { return o.detected; });
+  EXPECT_GT(detected, 0);
+  EXPECT_LT(static_cast<std::size_t>(detected), faults.size());
   for (std::size_t threads : {2u, 4u, 8u}) {
     const std::vector<ConvOutcome> par = pfs.run(test, good, faults, threads);
     ASSERT_EQ(par.size(), serial.size());

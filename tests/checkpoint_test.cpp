@@ -39,7 +39,7 @@ Pipeline prepare(Circuit c, std::size_t length, std::uint64_t seed) {
   Rng rng(seed);
   TestSequence test = random_sequence(c.num_inputs(), length, rng);
   const SequentialSimulator sim(c);
-  SeqTrace good = sim.run_fault_free(test);
+  SeqTrace good = sim.run_fault_free(test, /*keep_lines=*/true);
   std::vector<Fault> faults = collapsed_fault_list(c);
   const ParallelFaultSimulator pfs(c);
   const std::vector<ConvOutcome> conv = pfs.run(test, good, faults);
@@ -671,7 +671,9 @@ TEST(Degradation, BudgetStoppedFaultsWalkTheLadder) {
     const MotBatchItem& was = undegraded[i];
     const MotBatchItem& now = runs[0][i];
     // Soundness: the ladder may add detections, never remove them.
-    if (was.mot.detected) EXPECT_TRUE(now.mot.detected) << "fault " << i;
+    if (was.mot.detected) {
+      EXPECT_TRUE(now.mot.detected) << "fault " << i;
+    }
     if (now.degrade != DegradeLevel::None) {
       ++degraded;
       // A recorded downgrade only exists for budget-stopped faults here,

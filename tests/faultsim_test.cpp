@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 #include "circuits/embedded.hpp"
 #include "circuits/generator.hpp"
+#include "circuits/registry.hpp"
 #include "faultsim/parallel.hpp"
 #include "faultsim/session.hpp"
 #include "mot/oracle.hpp"
@@ -99,7 +102,7 @@ TEST_P(ParallelEquivalence, MatchesSerialOnGeneratedCircuits) {
       pc.x_prob > 0 ? random_sequence_with_x(5, pc.length, pc.x_prob, rng)
                     : random_sequence(5, pc.length, rng);
   const SequentialSimulator sim(c);
-  const SeqTrace good = sim.run_fault_free(t);
+  const SeqTrace good = sim.run_fault_free(t, /*keep_lines=*/true);
   const auto faults = collapsed_fault_list(c);
 
   const ConventionalFaultSimulator serial(c);
@@ -125,7 +128,7 @@ TEST(ParallelEquivalence, MatchesSerialOnS27) {
   Rng rng(21);
   const TestSequence t = random_sequence(4, 30, rng);
   const SequentialSimulator sim(c);
-  const SeqTrace good = sim.run_fault_free(t);
+  const SeqTrace good = sim.run_fault_free(t, /*keep_lines=*/true);
   const auto faults = enumerate_faults(c);  // uncollapsed: more coverage
   const auto so = ConventionalFaultSimulator(c).run(t, good, faults);
   const auto po = ParallelFaultSimulator(c).run(t, good, faults);
@@ -150,7 +153,7 @@ TEST(ParallelEquivalence, HandlesMoreThanOneGroup) {
   Rng rng(17);
   const TestSequence t = random_sequence(6, 10, rng);
   const SequentialSimulator sim(c);
-  const SeqTrace good = sim.run_fault_free(t);
+  const SeqTrace good = sim.run_fault_free(t, /*keep_lines=*/true);
   const auto so = ConventionalFaultSimulator(c).run(t, good, faults);
   const auto po = ParallelFaultSimulator(c).run(t, good, faults);
   std::size_t serial_detected = 0;
@@ -170,7 +173,8 @@ TEST(ParallelEquivalence, HandlesMoreThanOneGroup) {
 void expect_matches_one_shot(const ParallelFaultSession& session,
                              const Circuit& c, const std::vector<Fault>& faults,
                              const TestSequence& applied) {
-  const SeqTrace good = SequentialSimulator(c).run_fault_free(applied);
+  const SeqTrace good =
+      SequentialSimulator(c).run_fault_free(applied, /*keep_lines=*/true);
   const auto ref = ParallelFaultSimulator(c).run(applied, good, faults);
   const auto serial = ConventionalFaultSimulator(c).run(applied, good, faults);
   EXPECT_EQ(session.length(), applied.length());
@@ -287,7 +291,8 @@ TEST_P(SessionEquivalence, ForkAfterFullyDetectedGroupsMatchesOneShot) {
   // needed; a fault list may list a fault twice), so after the prefix it is
   // fully detected and the tails run past a skipped group. The whole
   // universe follows, ending in a ragged group.
-  const SeqTrace prefix_good = SequentialSimulator(c).run_fault_free(prefix);
+  const SeqTrace prefix_good =
+      SequentialSimulator(c).run_fault_free(prefix, /*keep_lines=*/true);
   const auto by_prefix = ParallelFaultSimulator(c).run(prefix, prefix_good, faults);
   std::vector<Fault> easy;
   for (std::size_t k = 0; k < faults.size(); ++k) {
@@ -341,8 +346,177 @@ TEST(Parallel, EmptyFaultListIsFine) {
   const Circuit c = circuits::make_s27();
   Rng rng(1);
   const TestSequence t = random_sequence(4, 4, rng);
-  const SeqTrace good = SequentialSimulator(c).run_fault_free(t);
+  const SeqTrace good =
+      SequentialSimulator(c).run_fault_free(t, /*keep_lines=*/true);
   EXPECT_TRUE(ParallelFaultSimulator(c).run(t, good, {}).empty());
+}
+
+// ------------------------------------------ event-driven pre-pass ----
+
+/// The pre-pass against the serial simulator, fault for fault. The serial
+/// side gets a trace without line values, so it simulates every faulty
+/// machine in full instead of replaying the fault-free lines the pre-pass
+/// reads.
+void expect_prepass_matches_serial(const Circuit& c, const TestSequence& t,
+                                   const std::vector<Fault>& faults,
+                                   std::size_t threads = 1) {
+  const SeqTrace good =
+      SequentialSimulator(c).run_fault_free(t, /*keep_lines=*/true);
+  SeqTrace plain = good;
+  plain.lines.clear();
+  const auto serial = ConventionalFaultSimulator(c).run(t, plain, faults);
+  const auto packed = ParallelFaultSimulator(c).run(t, good, faults, threads);
+  ASSERT_EQ(packed.size(), faults.size());
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    EXPECT_EQ(serial[k].detected, packed[k].detected) << fault_name(c, faults[k]);
+    EXPECT_EQ(serial[k].passes_c, packed[k].passes_c) << fault_name(c, faults[k]);
+  }
+}
+
+TEST(ParallelPrepass, MatchesSerialOnS298AndS344) {
+  for (const char* name : {"s298", "s344"}) {
+    SCOPED_TRACE(name);
+    const Circuit c = circuits::build_benchmark(name);
+    const auto faults = collapsed_fault_list(c);
+    ASSERT_GT(faults.size(), 4 * kFaultGroup);
+    Rng rng(29);
+    expect_prepass_matches_serial(c, random_sequence(c.num_inputs(), 200, rng),
+                                  faults);
+    expect_prepass_matches_serial(
+        c, random_sequence_with_x(c.num_inputs(), 200, 0.2, rng), faults, 4);
+  }
+}
+
+TEST(ParallelPrepass, DetectionsMatchDenseSessionOnS1423AndAm2910) {
+  for (const char* name : {"s1423", "am2910"}) {
+    SCOPED_TRACE(name);
+    const Circuit c = circuits::build_benchmark(name);
+    const auto faults = collapsed_fault_list(c);
+    Rng rng(31);
+    const TestSequence t = random_sequence(c.num_inputs(), 200, rng);
+    const SeqTrace good =
+        SequentialSimulator(c).run_fault_free(t, /*keep_lines=*/true);
+    const auto packed = ParallelFaultSimulator(c).run(t, good, faults, 4);
+    ParallelFaultSession session(c, faults);
+    session.apply(t);
+    std::size_t detected = 0;
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+      detected += packed[k].detected;
+      EXPECT_EQ(session.is_detected(k), packed[k].detected)
+          << fault_name(c, faults[k]);
+    }
+    EXPECT_EQ(session.detected_count(), detected);
+    EXPECT_GT(detected, 0u);
+    EXPECT_LT(detected, faults.size());
+  }
+}
+
+class ParallelPrepassSites : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// Every group mixes faults the first pattern detects with faults the whole
+/// sequence leaves undetected, the list holds PI-stem, DFF Q-stem and D-pin
+/// faults, and the last group is ragged.
+TEST_P(ParallelPrepassSites, DetectedSlotsBesideUndetectedMatchSerial) {
+  const Circuit c = session_circuit(GetParam());
+  const std::vector<Fault> all = enumerate_faults(c);
+  Rng rng(GetParam() * 7 + 1);
+  const TestSequence t = random_sequence_with_x(4, 40, 0.1, rng);
+  TestSequence first(4, 0);
+  first.append(t.pattern(0));
+  const SeqTrace good =
+      SequentialSimulator(c).run_fault_free(t, /*keep_lines=*/true);
+  const SeqTrace first_good =
+      SequentialSimulator(c).run_fault_free(first, /*keep_lines=*/true);
+  const auto whole = ConventionalFaultSimulator(c).run(t, good, all);
+  const auto at_once = ConventionalFaultSimulator(c).run(first, first_good, all);
+  std::vector<Fault> early, never;
+  for (std::size_t k = 0; k < all.size(); ++k) {
+    if (at_once[k].detected) early.push_back(all[k]);
+    if (!whole[k].detected) never.push_back(all[k]);
+  }
+  ASSERT_FALSE(early.empty());
+  ASSERT_FALSE(never.empty());
+  std::vector<Fault> faults;
+  for (std::size_t k = 0; k < std::max(early.size(), never.size()); ++k) {
+    faults.push_back(early[k % early.size()]);
+    faults.push_back(never[k % never.size()]);
+  }
+  faults.insert(faults.end(), all.begin(), all.end());
+  if (faults.size() % kFaultGroup == 0) faults.pop_back();
+  ASSERT_GT(faults.size(), kFaultGroup);
+  const auto has = [&](auto pred) {
+    return std::any_of(faults.begin(), faults.end(), pred);
+  };
+  ASSERT_TRUE(has([&](const Fault& f) {
+    return c.gate(f.gate).type == GateType::Input;
+  }));
+  ASSERT_TRUE(has([&](const Fault& f) {
+    return c.gate(f.gate).type == GateType::Dff && f.pin == kOutputPin;
+  }));
+  ASSERT_TRUE(has([&](const Fault& f) {
+    return c.gate(f.gate).type == GateType::Dff && f.pin != kOutputPin;
+  }));
+  expect_prepass_matches_serial(c, t, faults);
+  expect_prepass_matches_serial(c, t, faults, 3);
+}
+
+/// The kernel's side of in-group dropping: a slot outside `live`, or one
+/// the frame detects, leaves the frame holding the fault-free next state,
+/// and a slot outside `live` is never reported detected.
+TEST_P(ParallelPrepassSites, DroppedSlotsFollowTheFaultFreeMachine) {
+  const Circuit c = session_circuit(GetParam());
+  std::vector<Fault> faults = enumerate_faults(c);
+  faults.resize(std::min(faults.size(), kFaultGroup));
+  Rng rng(GetParam() * 3 + 5);
+  const TestSequence t = random_sequence(4, 30, rng);
+  const SeqTrace good =
+      SequentialSimulator(c).run_fault_free(t, /*keep_lines=*/true);
+  const PackedGroupKernel kernel(c);
+  FaultGroupSites sites;
+  kernel.build_sites(faults.data(), faults.size(), sites);
+  EventScratch scratch;
+  // Drop every third slot from the start, the rest once detected. A
+  // dropped slot starts from the fault-free all-X state.
+  std::uint64_t dropped = 0;
+  for (std::size_t s = 0; s < faults.size(); s += 3) dropped |= 1ull << s;
+  std::vector<PVal> state(c.num_dffs());
+  kernel.reset_state(FaultGroupSites{}, state.data());
+  for (const auto& site : sites.dffs) {
+    if (site.pin == kOutputPin && !((dropped >> site.slot) & 1)) {
+      pv_set(state[site.at], site.slot, site.stuck);
+    }
+  }
+  std::size_t detected_later = 0;
+  for (std::size_t u = 0; u < t.length(); ++u) {
+    const std::uint64_t live = sites.mask & ~dropped;
+    const GroupFrameResult r =
+        kernel.step_events(sites, live, good.lines[u].data(),
+                           good.outputs[u].data(), state.data(), scratch);
+    EXPECT_EQ(r.detected & ~live, 0u) << "frame " << u;
+    dropped |= r.detected;
+    detected_later += std::popcount(r.detected);
+    for (std::size_t k = 0; k < c.num_dffs(); ++k) {
+      for (std::size_t s = 0; s < 64; ++s) {
+        if (s < faults.size() && !((dropped >> s) & 1)) continue;
+        EXPECT_EQ(pv_get(state[k], static_cast<unsigned>(s)),
+                  good.states[u + 1][k])
+            << "frame " << u << " dff " << k << " slot " << s;
+      }
+    }
+  }
+  EXPECT_GT(detected_later, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ParallelPrepassSites,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+
+TEST(ParallelPrepass, RejectsTraceWithoutLines) {
+  const Circuit c = circuits::make_s27();
+  Rng rng(4);
+  const TestSequence t = random_sequence(4, 8, rng);
+  const SeqTrace good = SequentialSimulator(c).run_fault_free(t);
+  EXPECT_THROW(ParallelFaultSimulator(c).run(t, good, collapsed_fault_list(c)),
+               std::invalid_argument);
 }
 
 }  // namespace

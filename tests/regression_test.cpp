@@ -19,7 +19,7 @@ TEST(Regression, S27ConventionalCoverageSeed7) {
   const Circuit c = circuits::make_s27();
   Rng rng(7);
   const TestSequence t = random_sequence(4, 32, rng);
-  const SeqTrace good = SequentialSimulator(c).run_fault_free(t);
+  const SeqTrace good = SequentialSimulator(c).run_fault_free(t, /*keep_lines=*/true);
   const auto faults = collapsed_fault_list(c);
   EXPECT_EQ(faults.size(), 40u);
   const auto outcomes = ParallelFaultSimulator(c).run(t, good, faults);

@@ -50,7 +50,7 @@ Pipeline prepare(Circuit c, std::size_t length, std::uint64_t seed) {
   Rng rng(seed);
   TestSequence test = random_sequence(c.num_inputs(), length, rng);
   const SequentialSimulator sim(c);
-  SeqTrace good = sim.run_fault_free(test);
+  SeqTrace good = sim.run_fault_free(test, /*keep_lines=*/true);
   std::vector<Fault> faults = collapsed_fault_list(c);
   const ParallelFaultSimulator pfs(c);
   const std::vector<ConvOutcome> conv = pfs.run(test, good, faults);

@@ -50,7 +50,7 @@ TEST(HitecLike, CoverageMatchesRecount) {
   ASSERT_LE(r.sequence.length(), params.max_length);
 
   const SequentialSimulator sim(c);
-  const SeqTrace good = sim.run_fault_free(r.sequence);
+  const SeqTrace good = sim.run_fault_free(r.sequence, /*keep_lines=*/true);
   const auto outcomes = ParallelFaultSimulator(c).run(r.sequence, good, faults);
   std::size_t detected = 0;
   for (const auto& o : outcomes) detected += o.detected;
@@ -78,7 +78,7 @@ TEST(HitecLike, BeatsOrMatchesSingleRandomBurst) {
   Rng rng(5);
   const TestSequence plain = random_sequence(c.num_inputs(), 8, rng);
   const SequentialSimulator sim(c);
-  const SeqTrace good = sim.run_fault_free(plain);
+  const SeqTrace good = sim.run_fault_free(plain, /*keep_lines=*/true);
   const auto outcomes = ParallelFaultSimulator(c).run(plain, good, faults);
   std::size_t plain_detected = 0;
   for (const auto& o : outcomes) plain_detected += o.detected;
